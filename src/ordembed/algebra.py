@@ -208,7 +208,7 @@ def load_algebra(doc: dict, *, full_assoc_check: bool = False, seed: int = 0) ->
         basis = list(doc["basis"])
         unit = [rat(x) for x in doc["unit"]]
         entries = doc.get("table", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
     if dim < 0 or len(basis) != dim or len(unit) != dim:
         raise ParseError("dim, basis, and unit lengths disagree")
@@ -218,7 +218,7 @@ def load_algebra(doc: dict, *, full_assoc_check: bool = False, seed: int = 0) ->
             i = int(entry["i"])
             j = int(entry["j"])
             c = [rat(x) for x in entry["c"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed table entry: {exc}") from exc
         if not (0 <= i < dim and 0 <= j < dim) or len(c) != dim:
             raise ParseError(f"table entry ({i},{j}) out of range")

@@ -11,7 +11,6 @@ import argparse
 import difflib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .algebra import load_algebra, load_order
@@ -20,6 +19,7 @@ from .criteria import (
     classical_quotient,
     embeddability_report,
     idempotent_centre_criterion,
+    order_facts,
 )
 from .embeddings import (
     classify,
@@ -137,7 +137,7 @@ def _cmd_min_primes(args, inputs: _Inputs) -> tuple[dict, int]:
 
 def _cmd_quotient(args, inputs: _Inputs) -> tuple[dict, int]:
     order = _load_order_file(Path(args.order), inputs, args)
-    report = classical_quotient(order, seed=args.seed)
+    report = classical_quotient(order_facts(order, seed=args.seed))
     dec = None
     code = EXIT_OK
     if report.semisimple:
@@ -149,10 +149,11 @@ def _cmd_quotient(args, inputs: _Inputs) -> tuple[dict, int]:
 
 def _cmd_criteria(args, inputs: _Inputs) -> tuple[dict, int]:
     order = _load_order_file(Path(args.order), inputs, args)
-    centre_report = centre_criterion(order, seed=args.seed)
-    embed_report = embeddability_report(order, seed=args.seed)
+    facts = order_facts(order, seed=args.seed)
+    centre_report = centre_criterion(facts)
+    embed_report = embeddability_report(facts)
     try:
-        idem = idempotent_centre_doc(idempotent_centre_criterion(order, seed=args.seed))
+        idem = idempotent_centre_doc(idempotent_centre_criterion(facts))
         idem_verdict = idem["verdict"]
     except CentreNotEtale as exc:
         idem = error_doc(exc, radical=subspace_doc(exc.radical))
@@ -171,9 +172,10 @@ def _cmd_criteria(args, inputs: _Inputs) -> tuple[dict, int]:
 
 def _cmd_analyze(args, inputs: _Inputs) -> tuple[dict, int]:
     order = _load_order_file(Path(args.order), inputs, args)
-    quotient = classical_quotient(order, seed=args.seed)
-    centre_report = centre_criterion(order, seed=args.seed)
-    embed_report = embeddability_report(order, seed=args.seed)
+    facts = order_facts(order, seed=args.seed)
+    quotient = classical_quotient(facts)
+    centre_report = centre_criterion(facts)
+    embed_report = embeddability_report(facts)
     dec = None
     primes = None
     code = EXIT_OK
@@ -196,8 +198,9 @@ def _cmd_analyze(args, inputs: _Inputs) -> tuple[dict, int]:
 
 def _cmd_classify(args, inputs: _Inputs) -> tuple[dict, int]:
     emb = _load_embedding_file(Path(args.embedding), inputs, args)
+    primes = minimal_primes(emb.domain, seed=args.seed)
     try:
-        report = classify(emb, args.budget, seed=args.seed)
+        report = classify(emb, primes, args.budget, seed=args.seed)
     except UnmatchedComponents as exc:
         body = {
             "natural": False,
@@ -214,11 +217,13 @@ def _cmd_classify(args, inputs: _Inputs) -> tuple[dict, int]:
 def _cmd_minimize(args, inputs: _Inputs) -> tuple[dict, int]:
     emb = _load_embedding_file(Path(args.embedding), inputs, args)
     chain = minimize_to_elementary(emb, args.budget, seed=args.seed)
-    return minimize_chain_doc(chain), EXIT_OK
+    final = resolve_all(chain.final.codomain, args.budget, seed=args.seed)
+    code = EXIT_BUDGET if has_unknown_split(final) else EXIT_OK
+    return minimize_chain_doc(chain, final), code
 
 
 def _cmd_verify(args, inputs: _Inputs) -> tuple[dict, int]:
-    return corpus_verify(Path(args.corpus), jobs=args.jobs)
+    return corpus_verify(Path(args.corpus))
 
 
 HANDLERS = {
@@ -275,20 +280,17 @@ def _verify_entry(corpus: Path, entry: dict) -> dict:
     return {"name": name, "status": "ok", "exit": code}
 
 
-def corpus_verify(corpus: Path, *, jobs: int = 4) -> tuple[dict, int]:
+def corpus_verify(corpus: Path) -> tuple[dict, int]:
     """Recompute every corpus report and compare byte-for-byte with its golden."""
     manifest_path = corpus / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     entries = sorted(manifest["entries"], key=lambda e: e["name"])
-
-    def check(entry: dict) -> dict:
+    results = []
+    for entry in entries:
         try:
-            return _verify_entry(corpus, entry)
+            results.append(_verify_entry(corpus, entry))
         except GoldenMismatch as exc:
-            return {"name": exc.name, "status": "mismatch", "diff": exc.diff}
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(check, entries))
+            results.append({"name": exc.name, "status": "mismatch", "diff": exc.diff})
     counts = {"ok": 0, "mismatch": 0, "unverified": 0}
     for r in results:
         counts[r["status"]] += 1
@@ -356,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute corpus reports against goldens")
     p.add_argument("--corpus", default=str(CORPUS_DIR))
-    p.add_argument("--jobs", type=int, default=4)
     _add_common(p)
 
     return parser

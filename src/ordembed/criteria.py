@@ -29,7 +29,7 @@ from .embeddings import (
     _check_ring_map,
     _nilpotent_witness,
     canonical_embedding,
-    minimal_primes,
+    primes_of_decomposition,
 )
 from .errors import CentreNotEtale, NotSemiprime, NotSemisimple, ParseError
 from .linalg import (
@@ -45,7 +45,7 @@ from .linalg import (
     solve_row,
     vec,
 )
-from .wedderburn import SemisimpleDecomposition, decompose, radical
+from .wedderburn import SemisimpleDecomposition, decompose
 
 __all__ = [
     "CentreData",
@@ -53,6 +53,7 @@ __all__ = [
     "CriterionCondition",
     "EmbeddabilityReport",
     "IdempotentCentreReport",
+    "OrderFacts",
     "QuotientReport",
     "SliceData",
     "centre_criterion",
@@ -60,6 +61,7 @@ __all__ = [
     "classical_quotient",
     "embeddability_report",
     "idempotent_centre_criterion",
+    "order_facts",
 ]
 
 
@@ -103,18 +105,27 @@ def _slice_rows(alg: StructureAlgebra, e: Vec) -> MatQ:
 class CentreData:
     """The centre lattice of an order, packaged as an order in its own right.
 
-    `rows` expresses the centre basis in the parent's lattice coordinates;
-    `idempotents` are the primitive idempotents of the centre's span written
-    in parent coordinates, aligned with `minimal_primes` (both empty when the
-    centre span has a radical).
+    `subspace` is the centre of the parent's span and `rows` expresses the
+    centre lattice basis in the parent's lattice coordinates. When the
+    centre's span is semisimple, `decomposition` is its decomposition and
+    `idempotents` are its primitive idempotents written in parent
+    coordinates, aligned with `minimal_primes`. Otherwise `decomposition` is
+    None, `radical` is the radical of the centre's span in centre
+    coordinates, and `idempotents` and `minimal_primes` are empty.
     """
 
+    subspace: Subspace
     rows: MatQ
     order: OrderRing
-    semiprime: bool
+    decomposition: SemisimpleDecomposition | None
+    radical: Subspace | None
     radical_witness: IntVec | None
     minimal_primes: tuple[LatticeIdeal, ...]
     idempotents: tuple[Vec, ...]
+
+    @property
+    def semiprime(self) -> bool:
+        return self.decomposition is not None
 
     @property
     def rank(self) -> int:
@@ -137,13 +148,53 @@ def centre_of(order: OrderRing, *, seed: int = 0) -> CentreData:
     )
     zorder = build_order(zalg)
     try:
-        primes = minimal_primes(zorder, seed=seed)
-    except NotSemiprime as exc:
-        witness = tuple(int(x) for x in row_times_mat(vec(exc.witness), zrows))
-        return CentreData(zrows, zorder, False, witness, (), ())
-    dec = decompose(zorder.coord_algebra, seed=seed)
+        dec = decompose(zorder.coord_algebra, seed=seed)
+    except NotSemisimple as exc:
+        zwitness = _nilpotent_witness(zorder, exc)
+        witness = tuple(int(x) for x in row_times_mat(vec(zwitness), zrows))
+        return CentreData(zsub, zrows, zorder, None, exc.radical, witness, (), ())
+    primes = primes_of_decomposition(zorder, dec)
     idems = tuple(row_times_mat(c.idempotent, zrows) for c in dec.components)
-    return CentreData(zrows, zorder, True, None, primes, idems)
+    return CentreData(zsub, zrows, zorder, dec, None, None, primes, idems)
+
+
+# -- the facts every criterion reads -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OrderFacts:
+    """The facts about one order at one seed that the criteria share.
+
+    `decomposition` is the Wedderburn decomposition of the order's span; it
+    is None when the order is not semiprime, and `radical_witness` is then
+    an integer nilpotent element of the order. `minimal_primes` are read off
+    that same decomposition (empty when it is None), and `centre` is the
+    order's centre. Build it once with order_facts and pass it to every
+    report about the order.
+    """
+
+    order: OrderRing
+    seed: int
+    decomposition: SemisimpleDecomposition | None
+    radical_witness: IntVec | None
+    minimal_primes: tuple[LatticeIdeal, ...]
+    centre: CentreData
+
+    @property
+    def semiprime(self) -> bool:
+        return self.decomposition is not None
+
+
+def order_facts(order: OrderRing, *, seed: int = 0) -> OrderFacts:
+    """Decompose the span, read off the minimal primes, and compute the centre."""
+    centre_data = centre_of(order, seed=seed)
+    try:
+        dec = decompose(order.coord_algebra, seed=seed)
+    except NotSemisimple as exc:
+        witness = _nilpotent_witness(order, exc)
+        return OrderFacts(order, seed, None, witness, (), centre_data)
+    primes = primes_of_decomposition(order, dec)
+    return OrderFacts(order, seed, dec, None, primes, centre_data)
 
 
 # -- classical quotient --------------------------------------------------------------
@@ -163,22 +214,18 @@ class QuotientReport:
     centre: CentreData
 
 
-def classical_quotient(order: OrderRing, *, seed: int = 0) -> QuotientReport:
+def classical_quotient(facts: OrderFacts) -> QuotientReport:
     """Q = span of R with the lattice inclusion; semisimple iff R is semiprime.
 
     When semisimple, the minimal ideals of Q are checked to be exactly the
     spans of the minimal primes of R, in matching order.
     """
+    order, dec, primes = facts.order, facts.decomposition, facts.minimal_primes
     alg = order.coord_algebra
-    centre_data = centre_of(order, seed=seed)
-    try:
-        dec = decompose(alg, seed=seed)
-    except NotSemisimple as exc:
-        witness = _nilpotent_witness(order, exc)
+    if not facts.semiprime:
         return QuotientReport(
-            order, alg, False, witness, None, (), None, centre_data
+            order, alg, False, facts.radical_witness, None, (), None, facts.centre
         )
-    primes = minimal_primes(order, seed=seed)
     match = len(primes) == len(dec.components)
     if match:
         for i, p in enumerate(primes):
@@ -190,7 +237,7 @@ def classical_quotient(order: OrderRing, *, seed: int = 0) -> QuotientReport:
             if p.lattice.span() != complement:
                 match = False
                 break
-    return QuotientReport(order, alg, True, None, dec, primes, match, centre_data)
+    return QuotientReport(order, alg, True, None, dec, primes, match, facts.centre)
 
 
 # -- centre criterion ----------------------------------------------------------------
@@ -241,12 +288,12 @@ def _build_slices(
         sl = _structure_on_rows(
             alg, rows, unit_coords, name=f"{alg.name}@q{i}", prefix="s"
         )
-        rad = radical(sl)
-        count = None
-        if rad.dim == 0:
+        try:
             count = len(decompose(sl, seed=seed).components)
+        except NotSemisimple:
+            count = None
         slices.append(
-            SliceData(i, e, rows, sl, rad.dim == 0, count, centre(sl).dim)
+            SliceData(i, e, rows, sl, count is not None, count, centre(sl).dim)
         )
     return tuple(slices)
 
@@ -276,15 +323,14 @@ def _product_iso(
 
 
 def _contract_primes(
-    order: OrderRing, primes: tuple[LatticeIdeal, ...], centre_data: CentreData
+    primes: tuple[LatticeIdeal, ...], centre_data: CentreData
 ) -> tuple[tuple[int, ...], bool]:
     """For each minimal prime of R, the minimal central prime it meets Z(R) in."""
-    zsub = centre(order.coord_algebra)
     targets = [q.lattice.basis for q in centre_data.minimal_primes]
     zsolver = RowSolver(centre_data.rows)
     indices = []
     for p in primes:
-        meet = lattice_intersect_subspace(p.lattice, zsub)
+        meet = lattice_intersect_subspace(p.lattice, centre_data.subspace)
         coords = []
         for row in meet.basis:
             c = zsolver.solve(vec(row))
@@ -299,7 +345,7 @@ def _contract_primes(
     return tuple(indices), surjective
 
 
-def centre_criterion(order: OrderRing, *, seed: int = 0) -> CentreCriterionReport:
+def centre_criterion(facts: OrderFacts) -> CentreCriterionReport:
     """Decide semisimplicity of the quotient from the centre of the order.
 
     Conditions reported: R semiprime; central non-zero-divisors stay regular
@@ -311,22 +357,20 @@ def centre_criterion(order: OrderRing, *, seed: int = 0) -> CentreCriterionRepor
     isomorphism from the span onto the product of the slices, plus the
     contraction map from minimal primes onto minimal central primes.
     """
+    order, centre_data = facts.order, facts.centre
     alg = order.coord_algebra
-    centre_data = centre_of(order, seed=seed)
     conditions = []
 
-    try:
-        decompose(alg, seed=seed)
-        semiprime = True
+    semiprime = facts.semiprime
+    if semiprime:
         conditions.append(CriterionCondition("semiprime", True))
-    except NotSemisimple as exc:
-        semiprime = False
+    else:
         conditions.append(
             CriterionCondition(
                 "semiprime",
                 False,
                 note="the span has a nonzero radical",
-                witness=_nilpotent_witness(order, exc),
+                witness=facts.radical_witness,
             )
         )
 
@@ -360,7 +404,7 @@ def centre_criterion(order: OrderRing, *, seed: int = 0) -> CentreCriterionRepor
             order, False, tuple(conditions), centre_data, (), None, None, None, None
         )
 
-    slices = _build_slices(alg, centre_data, seed=seed)
+    slices = _build_slices(alg, centre_data, seed=facts.seed)
     regular_ok = all(
         sl.centre_dim == centre_data.minimal_primes[sl.prime_index].parent.rank
         - centre_data.minimal_primes[sl.prime_index].lattice.rank
@@ -399,9 +443,7 @@ def centre_criterion(order: OrderRing, *, seed: int = 0) -> CentreCriterionRepor
     surjective = None
     if verdict:
         product_alg, product_map = _product_iso(alg, slices)
-        contraction, surjective = _contract_primes(
-            order, minimal_primes(order, seed=seed), centre_data
-        )
+        contraction, surjective = _contract_primes(facts.minimal_primes, centre_data)
     return CentreCriterionReport(
         order,
         verdict,
@@ -430,7 +472,7 @@ class IdempotentCentreReport:
     product_iso: MatQ | None
 
 
-def idempotent_centre_criterion(order: OrderRing, *, seed: int = 0) -> IdempotentCentreReport:
+def idempotent_centre_criterion(facts: OrderFacts) -> IdempotentCentreReport:
     """The corollary path: Z(R) spans a product of fields, factor rings split Q.
 
     Each primitive central idempotent e cuts the factor ring R/R(1-e), realized
@@ -438,28 +480,19 @@ def idempotent_centre_criterion(order: OrderRing, *, seed: int = 0) -> Idempoten
     and R to be semiprime. A centre whose span has a radical is rejected with
     CentreNotEtale before any factor is built.
     """
+    order, centre_data = facts.order, facts.centre
     alg = order.coord_algebra
-    centre_data = centre_of(order, seed=seed)
     if not centre_data.semiprime:
-        zalg = centre_data.order.coord_algebra
-        rad = radical(zalg)
         lifted = Subspace.from_rows(
             order.rank,
-            [centre_data.to_parent(row) for row in rad.basis.rows],
+            [centre_data.to_parent(row) for row in centre_data.radical.basis.rows],
         )
         raise CentreNotEtale(radical=lifted)
-    zdec = decompose(centre_data.order.coord_algebra, seed=seed)
-    for comp in zdec.components:
+    for comp in centre_data.decomposition.components:
         assert comp.centre_dim == comp.algebra.dim, "commutative blocks are fields"
 
-    try:
-        decompose(alg, seed=seed)
-        semiprime, witness = True, None
-    except NotSemisimple as exc:
-        semiprime, witness = False, _nilpotent_witness(order, exc)
-
-    factors = _build_slices(alg, centre_data, seed=seed)
-    verdict = semiprime and all(f.semisimple for f in factors)
+    factors = _build_slices(alg, centre_data, seed=facts.seed)
+    verdict = facts.semiprime and all(f.semisimple for f in factors)
     product_alg = None
     product_map = None
     if verdict:
@@ -467,8 +500,8 @@ def idempotent_centre_criterion(order: OrderRing, *, seed: int = 0) -> Idempoten
     return IdempotentCentreReport(
         order,
         verdict,
-        semiprime,
-        witness,
+        facts.semiprime,
+        facts.radical_witness,
         centre_data,
         factors,
         product_alg,
@@ -489,7 +522,7 @@ class EmbeddabilityReport:
     component_dims: tuple[int, ...]
 
 
-def embeddability_report(order: OrderRing, *, seed: int = 0) -> EmbeddabilityReport:
+def embeddability_report(facts: OrderFacts) -> EmbeddabilityReport:
     """Can every prime quotient's rational span live in a simple Artinian ring?
 
     For a semiprime order the answer is witnessed directly: the span of each
@@ -497,10 +530,10 @@ def embeddability_report(order: OrderRing, *, seed: int = 0) -> EmbeddabilityRep
     the blocks is the witness embedding. A non-semiprime order fails with a
     nilpotent witness vector.
     """
+    order = facts.order
     try:
-        sigma = canonical_embedding(order, seed=seed)
+        sigma = canonical_embedding(facts)
     except NotSemiprime as exc:
         return EmbeddabilityReport(order, False, None, exc.witness, (), ())
-    primes = minimal_primes(order, seed=seed)
     dims = tuple(c.algebra.dim for c in sigma.codomain.components)
-    return EmbeddabilityReport(order, True, sigma, None, primes, dims)
+    return EmbeddabilityReport(order, True, sigma, None, facts.minimal_primes, dims)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import (
     LatticeIdeal,
@@ -86,6 +86,9 @@ from .wedderburn import (
     restrict_op,
     semisimple_quotient,
 )
+
+if TYPE_CHECKING:
+    from .criteria import OrderFacts
 
 
 # -- embedding records --------------------------------------------------------------
@@ -158,12 +161,15 @@ def _component_coords(parent: StructureAlgebra, comp: SimpleComponent, v: Sequen
     return coords
 
 
-def canonical_embedding(order: OrderRing, *, seed: int = 0) -> Embedding:
-    """The inclusion of R into its own rational span, in lattice coordinates."""
-    try:
-        dec = decompose(order.coord_algebra, seed=seed)
-    except NotSemisimple as exc:
-        raise NotSemiprime(witness=_nilpotent_witness(order, exc)) from exc
+def canonical_embedding(facts: OrderFacts) -> Embedding:
+    """The inclusion of R into its own rational span, in lattice coordinates.
+
+    The codomain is the decomposition already held in `facts`; the ring-map
+    and injectivity checks of build_embedding still run.
+    """
+    if not facts.semiprime:
+        raise NotSemiprime(witness=facts.radical_witness)
+    order, dec = facts.order, facts.decomposition
     return build_embedding(
         order, dec, MatQ.identity(order.rank),
         assignment=tuple(range(len(dec.components))),
@@ -284,6 +290,18 @@ def minimal_primes(order: OrderRing, *, seed: int = 0) -> tuple[LatticeIdeal, ..
         dec = decompose(order.coord_algebra, seed=seed)
     except NotSemisimple as exc:
         raise NotSemiprime(witness=_nilpotent_witness(order, exc)) from exc
+    return primes_of_decomposition(order, dec)
+
+
+def primes_of_decomposition(
+    order: OrderRing, dec: SemisimpleDecomposition
+) -> tuple[LatticeIdeal, ...]:
+    """The minimal primes of R, read off the decomposition of its span.
+
+    `dec` must decompose `order.coord_algebra`. This is the body of
+    minimal_primes for callers that already hold the decomposition; the
+    same saturation, zero-intersection and irredundance checks run.
+    """
     n = order.rank
     primes = []
     for i in range(len(dec.components)):
@@ -767,20 +785,26 @@ def _prime_action_image(fac: LadderFactor, prime: LatticeIdeal) -> Subspace:
     return Subspace.from_rows(fac.carrier.dim, rows)
 
 
-def minimize_step(f: Embedding, budget: int, *, seed: int = 0) -> MinimizeStepResult:
+def minimize_step(
+    f: Embedding,
+    primes: tuple[LatticeIdeal, ...],
+    budget: int,
+    *,
+    seed: int = 0,
+) -> MinimizeStepResult:
     """One reduction step: keep an irredundant family of simple factors.
 
-    Ladders are built per component; factor annihilators are minimal primes
-    of the domain. Dropping factors greedily from the last canonical index
-    leaves a family whose annihilators intersect to zero and biject onto
-    min(R), which is verified. The kept endomorphism product B receives the
+    `primes` are the minimal primes of the domain, as minimal_primes returns
+    them. Ladders are built per component; factor annihilators are minimal
+    primes of the domain. Dropping factors greedily from the last canonical
+    index leaves a family whose annihilators intersect to zero and biject
+    onto min(R), which is verified. The kept endomorphism product B receives the
     domain through left multiplications, and the step emits the verified
     monomorphism of the full product into the original codomain together
     with the projection onto B. Dimension bounds (per component and, when
     split statuses are certified, total matrix size) are asserted.
     """
     domain = f.domain
-    primes = minimal_primes(domain, seed=seed)
     count = len(f.codomain.components)
     for i in range(count):
         keep = [j for j in range(count) if j != i]
@@ -1063,19 +1087,24 @@ def _preimage_lattice(f: Embedding, target: Subspace) -> Lattice:
     )
 
 
-def classify(f: Embedding, budget: int, *, seed: int = 0) -> ClassifyReport:
+def classify(
+    f: Embedding,
+    primes: tuple[LatticeIdeal, ...],
+    budget: int,
+    *,
+    seed: int = 0,
+) -> ClassifyReport:
     """Natural and elementary status of an embedding, per minimal prime.
 
-    Components are matched to primes by requiring the component block to be
-    annihilated by the prime's image on both sides; a missing or ambiguous
-    matching raises UnmatchedComponents. For each matched pair the report
+    `primes` are the minimal primes of the domain, as minimal_primes returns
+    them. Components are matched to primes by requiring the component block
+    to be annihilated by the prime's image on both sides; a missing or
+    ambiguous matching raises UnmatchedComponents. For each matched pair the report
     carries: whether both annihilators equal the block exactly (natural),
     whether the block is a simple bimodule (tri-state, with a proper
     sub-bimodule witness on failure), and whether the preimage of the ideal
     generated by the prime's image is the prime again.
     """
-    domain = f.domain
-    primes = minimal_primes(domain, seed=seed)
     comps = f.codomain.components
     parent = f.codomain.parent
     if len(primes) != len(comps):
@@ -1182,8 +1211,10 @@ def minimize_to_elementary(f: Embedding, budget: int, *, seed: int = 0) -> Minim
     Each minimization step strictly shrinks the codomain dimension (this is
     asserted), so the loop terminates. A classification that cannot certify
     simplicity within budget raises UnresolvedSimplicity carrying the chain
-    so far.
+    so far. The domain never changes along the chain, so its minimal primes
+    are computed once.
     """
+    primes = minimal_primes(f.domain, seed=seed)
     steps: list[tuple[str, object]] = []
     current = f
     while True:
@@ -1193,7 +1224,7 @@ def minimize_to_elementary(f: Embedding, budget: int, *, seed: int = 0) -> Minim
             current = reduced.embedding
         report = None
         try:
-            report = classify(current, budget, seed=seed)
+            report = classify(current, primes, budget, seed=seed)
         except UnmatchedComponents:
             pass
         if report is not None:
@@ -1205,7 +1236,7 @@ def minimize_to_elementary(f: Embedding, budget: int, *, seed: int = 0) -> Minim
                     message="classification left a simplicity certificate open",
                 )
         before = current.codomain_dim
-        step = minimize_step(current, budget, seed=seed)
+        step = minimize_step(current, primes, budget, seed=seed)
         assert step.embedding.codomain_dim < before, \
             "minimization strictly shrinks the codomain"
         steps.append(("minimize", step))
@@ -1235,12 +1266,13 @@ def m_equivalence_necessary(
     if f.domain.rank != g.domain.rank or \
             f.domain.coord_algebra.table != g.domain.coord_algebra.table:
         raise DimensionMismatch("embeddings must share their domain order")
+    primes = minimal_primes(f.domain, seed=seed)
     try:
-        report_f = classify(f, budget, seed=seed)
+        report_f = classify(f, primes, budget, seed=seed)
     except UnmatchedComponents as exc:
         raise NotNatural(f"first embedding is not natural: {exc}") from exc
     try:
-        report_g = classify(g, budget, seed=seed)
+        report_g = classify(g, primes, budget, seed=seed)
     except UnmatchedComponents as exc:
         raise NotNatural(f"second embedding is not natural: {exc}") from exc
     if not report_f.natural:
@@ -1338,7 +1370,7 @@ def localization_unit_check(
     inconsistency rather than a legitimate outcome.
     """
     try:
-        report = classify(f, budget, seed=seed)
+        report = classify(f, minimal_primes(f.domain, seed=seed), budget, seed=seed)
     except UnmatchedComponents as exc:
         raise NotElementary(
             f"localization check needs an elementary embedding: {exc}"

@@ -297,7 +297,13 @@ def _minimize_stage_doc(step: MinimizeStepResult) -> dict:
     }
 
 
-def minimize_chain_doc(chain: MinimizeChain) -> dict:
+def minimize_chain_doc(chain: MinimizeChain,
+                       codomain: SemisimpleDecomposition) -> dict:
+    """The chain's stages and its final embedding.
+
+    `codomain` is the final codomain with its split statuses resolved, as
+    resolve_all returns it.
+    """
     stages = []
     for kind, payload in chain.steps:
         if kind == "reduce":
@@ -312,9 +318,7 @@ def minimize_chain_doc(chain: MinimizeChain) -> dict:
             "component_dims": [
                 c.algebra.dim for c in chain.final.codomain.components
             ],
-            "split_kinds": [
-                c.split_status.kind for c in chain.final.codomain.components
-            ],
+            "split_kinds": [c.split_status.kind for c in codomain.components],
             "classification": classify_doc(chain.report),
         },
     }

@@ -16,9 +16,9 @@ from ordembed.algebra import build_order, is_regular, load_order
 from ordembed.cli import CORPUS_DIR, corpus_verify, run_report
 from ordembed.criteria import (
     centre_criterion,
-    centre_of,
     classical_quotient,
     embeddability_report,
+    order_facts,
 )
 from ordembed.embeddings import (
     _check_ring_map,
@@ -80,7 +80,11 @@ def corpus_embedding(name: str):
 
 @lru_cache(maxsize=None)
 def demo_steps():
-    return {name: minimize_step(corpus_embedding(name), BUDGET) for name in DEMOS}
+    steps = {}
+    for name in DEMOS:
+        f = corpus_embedding(name)
+        steps[name] = minimize_step(f, minimal_primes(f.domain), BUDGET)
+    return steps
 
 
 def _passline(n: int, elapsed: float, limit: float, detail: str) -> None:
@@ -182,15 +186,16 @@ def test_criterion_04_fixpoint_and_elementariness():
     start = time.monotonic()
     for name in SEMIPRIME_CORPUS:
         order = corpus_order(name)
-        sigma = canonical_embedding(order)
-        report = classify(sigma, BUDGET)
+        facts = order_facts(order)
+        sigma = canonical_embedding(facts)
+        report = classify(sigma, facts.minimal_primes, BUDGET)
         assert report.natural and report.elementary is True, name
         chain = minimize_to_elementary(sigma, BUDGET)
         assert chain.steps == (), name
         assert chain.final is sigma
 
     scalar = corpus_embedding("demo-scalar")
-    report = classify(scalar, BUDGET)
+    report = classify(scalar, minimal_primes(scalar.domain), BUDGET)
     assert report.natural is True and report.elementary is False
     witness = report.per_prime[0].witness
     comp = scalar.codomain.components[0]
@@ -273,8 +278,9 @@ def test_criterion_07_localization_units():
     start = time.monotonic()
     for name in SEMIPRIME_CORPUS:
         order = corpus_order(name)
-        sigma = canonical_embedding(order)
-        data = centre_of(order)
+        facts = order_facts(order)
+        sigma = canonical_embedding(facts)
+        data = facts.centre
         rng = random.Random(hash(name) & 0xFFFF)
         elements = []
         while len(elements) < 20:
@@ -295,9 +301,10 @@ def test_criterion_08_centre_criterion_agreement():
     corpus_names = SEMIPRIME_CORPUS + ("dual", "t2z")
     for name in corpus_names:
         order = corpus_order(name)
-        quotient = classical_quotient(order)
-        criterion = centre_criterion(order)
-        embed = embeddability_report(order)
+        facts = order_facts(order)
+        quotient = classical_quotient(facts)
+        criterion = centre_criterion(facts)
+        embed = embeddability_report(facts)
         assert quotient.semisimple == criterion.verdict == embed.verdict, name
         if criterion.verdict:
             alg = order.coord_algebra

@@ -2,11 +2,21 @@
 
 import json
 import shutil
+import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from ordembed import criteria, embeddings, wedderburn
 from ordembed.algebra import algebra_to_doc, order_to_doc
 from ordembed.cli import CORPUS_DIR, main, run_report
-from ordembed.samples import integers_order, quaternion_algebra
+from ordembed.samples import (
+    integer_matrix_order,
+    integers_order,
+    matrix_algebra,
+    quaternion_algebra,
+)
 
 CORPUS = CORPUS_DIR
 
@@ -18,6 +28,24 @@ def run_json(command, argv):
 
 def order_arg(name):
     return ["--order", str(CORPUS / f"{name}.json")]
+
+
+def count_calls(monkeypatch, module, name, key):
+    """Count calls of `module.name` by key(first argument).
+
+    The function is replaced in every ordembed module that binds it.
+    """
+    original = getattr(module, name)
+    counts = Counter()
+
+    def counting(first, *args, **kwargs):
+        counts[key(first)] += 1
+        return original(first, *args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("ordembed") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return counts
 
 
 # -- envelope -------------------------------------------------------------------------
@@ -102,6 +130,20 @@ def test_criteria_command_surfaces_non_etale_centres():
     assert doc["report"]["agree"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "criteria"])
+def test_order_facts_are_computed_once_per_command(monkeypatch, command):
+    centres = count_calls(monkeypatch, criteria, "centre_of", lambda order: order.name)
+    decomposed = count_calls(monkeypatch, wedderburn, "decompose", lambda alg: alg.name)
+    primes = count_calls(
+        monkeypatch, embeddings, "primes_of_decomposition", lambda order: order.name
+    )
+    _, code = run_report(command, order_arg("c4"))
+    assert code == 0
+    assert centres == {"QC4": 1}
+    assert decomposed["QC4"] == 1
+    assert primes == {"QC4": 1, "Z(QC4)": 1}
+
+
 def test_analyze_command_summarizes_verdicts():
     doc, code = run_json("analyze", order_arg("lipschitz"))
     assert code == 0
@@ -136,6 +178,23 @@ def test_minimize_command_reaches_the_rationals():
     assert report["final"]["classification"]["elementary"] is True
     stage = report["stages"][0]
     assert stage["into_parent"]["verified"] and stage["onto_selected"]["verified"]
+
+
+def test_minimize_resolves_the_final_split_kinds(tmp_path):
+    # M2(Z) placed diagonally in M2(Q) x M2(Q): the chain is one reduce stage
+    m2 = matrix_algebra(2)
+    doc = {
+        "domain": order_to_doc(integer_matrix_order(2)),
+        "codomain": [algebra_to_doc(m2), algebra_to_doc(m2)],
+        "map": [[str(int(i == k)) for k in range(4)] * 2 for i in range(4)],
+    }
+    path = tmp_path / "m2z-twice.json"
+    path.write_text(json.dumps(doc))
+    out, code = run_json("minimize", ["--embedding", str(path)])
+    assert code == 0
+    report = out["report"]
+    assert [s["kind"] for s in report["stages"]] == ["reduce"]
+    assert report["final"]["split_kinds"] == ["split"]
 
 
 def test_embedding_refs_resolve_next_to_the_file():
@@ -179,6 +238,28 @@ def test_malformed_json_exits_one(tmp_path):
     doc, code = run_json("analyze", ["--order", str(path)])
     assert code == 1
     assert "invalid JSON" in doc["report"]["error"]["message"]
+
+
+def _zero_unit(doc):
+    doc["unit"] = ["1/0"]
+
+
+def _zero_table_entry(doc):
+    doc["table"][0]["c"] = ["2/0"]
+
+
+@pytest.mark.parametrize("command, role, corrupt", [
+    ("decompose", "--algebra", _zero_unit),
+    ("analyze", "--order", _zero_table_entry),
+], ids=["algebra-unit", "order-table"])
+def test_zero_denominators_exit_one(tmp_path, command, role, corrupt):
+    doc = order_to_doc(integers_order())
+    corrupt(doc)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    out, code = run_json(command, [role, str(path)])
+    assert code == 1
+    assert out["report"]["error"]["type"] == "ParseError"
 
 
 def test_non_injective_embedding_exits_one(tmp_path):

@@ -13,6 +13,7 @@ from ordembed.criteria import (
     classical_quotient,
     embeddability_report,
     idempotent_centre_criterion,
+    order_facts,
 )
 from ordembed.embeddings import _check_ring_map
 from ordembed.errors import CentreNotEtale
@@ -110,7 +111,7 @@ def test_centre_of_nonsemiprime_centre_carries_a_witness():
 
 
 def test_quotient_of_matrix_order():
-    report = classical_quotient(integer_matrix_order(2))
+    report = classical_quotient(order_facts(integer_matrix_order(2)))
     assert report.semisimple
     assert len(report.minimal_primes) == 1
     assert report.prime_spans_match
@@ -118,7 +119,7 @@ def test_quotient_of_matrix_order():
 
 
 def test_quotient_of_crt_order():
-    report = classical_quotient(crt_order())
+    report = classical_quotient(order_facts(crt_order()))
     assert report.semisimple
     assert len(report.minimal_primes) == 2
     assert report.prime_spans_match
@@ -126,7 +127,7 @@ def test_quotient_of_crt_order():
 
 
 def test_quotient_of_dual_numbers_is_not_semisimple():
-    report = classical_quotient(dual_numbers_order())
+    report = classical_quotient(order_facts(dual_numbers_order()))
     assert not report.semisimple
     assert report.radical_witness == (0, 1)
     assert report.decomposition is None
@@ -134,7 +135,7 @@ def test_quotient_of_dual_numbers_is_not_semisimple():
 
 
 def test_quotient_of_triangular_order_names_a_nilpotent():
-    report = classical_quotient(triangular_order())
+    report = classical_quotient(order_facts(triangular_order()))
     assert not report.semisimple
     assert report.radical_witness == (0, 1, 0)
     # the centre (scalars) is fine even though the order is not semiprime
@@ -142,7 +143,7 @@ def test_quotient_of_triangular_order_names_a_nilpotent():
 
 
 def test_quotient_span_is_generated_by_the_lattice():
-    report = classical_quotient(lipschitz_order())
+    report = classical_quotient(order_facts(lipschitz_order()))
     assert rank(MatQ.identity(report.order.rank)) == report.algebra.dim
 
 
@@ -151,7 +152,7 @@ def test_quotient_span_is_generated_by_the_lattice():
 
 def test_centre_criterion_accepts_semiprime_orders():
     for order in SEMIPRIME_ORDERS:
-        report = centre_criterion(order)
+        report = centre_criterion(order_facts(order))
         assert report.verdict, order.name
         assert all(c.holds for c in report.conditions)
         assert report.contraction_surjective
@@ -160,7 +161,7 @@ def test_centre_criterion_accepts_semiprime_orders():
 
 def test_centre_criterion_reconstruction_is_a_ring_isomorphism():
     for order in (integer_matrix_order(2), mixed_product_order(), crt_order()):
-        report = centre_criterion(order)
+        report = centre_criterion(order_facts(order))
         alg = order.coord_algebra
         assert report.product_algebra.dim == alg.dim
         assert rank(report.product_iso) == alg.dim
@@ -168,19 +169,19 @@ def test_centre_criterion_reconstruction_is_a_ring_isomorphism():
 
 
 def test_centre_criterion_slice_centres_match_central_components():
-    report = centre_criterion(mixed_product_order())
+    report = centre_criterion(order_facts(mixed_product_order()))
     assert [sl.centre_dim for sl in report.slices] == [1, 1]
     assert [sl.component_count for sl in report.slices] == [1, 1]
     assert sorted(sl.algebra.dim for sl in report.slices) == [1, 4]
 
 
 def test_centre_criterion_contraction_covers_central_primes():
-    report = centre_criterion(crt_order())
+    report = centre_criterion(order_facts(crt_order()))
     assert sorted(report.contraction) == [0, 1]
 
 
 def test_centre_criterion_names_the_failing_condition():
-    report = centre_criterion(dual_numbers_order())
+    report = centre_criterion(order_facts(dual_numbers_order()))
     assert not report.verdict
     by_name = {c.name: c for c in report.conditions}
     assert by_name["semiprime"].holds is False
@@ -190,7 +191,7 @@ def test_centre_criterion_names_the_failing_condition():
 
 
 def test_centre_criterion_flags_bad_localizations():
-    report = centre_criterion(triangular_order())
+    report = centre_criterion(order_facts(triangular_order()))
     assert not report.verdict
     by_name = {c.name: c for c in report.conditions}
     assert by_name["semiprime"].holds is False
@@ -213,7 +214,7 @@ def test_central_regular_elements_are_regular_in_samples():
 
 
 def test_idempotent_centre_splits_mixed_product():
-    report = idempotent_centre_criterion(mixed_product_order())
+    report = idempotent_centre_criterion(order_facts(mixed_product_order()))
     assert report.verdict
     assert sorted(f.algebra.dim for f in report.factors) == [1, 4]
     assert report.product_algebra.dim == 5
@@ -223,8 +224,9 @@ def test_idempotent_centre_splits_mixed_product():
 
 
 def test_idempotent_centre_with_trivial_idempotent_matches_quotient():
-    report = idempotent_centre_criterion(integer_matrix_order(2))
-    quotient = classical_quotient(integer_matrix_order(2))
+    facts = order_facts(integer_matrix_order(2))
+    report = idempotent_centre_criterion(facts)
+    quotient = classical_quotient(facts)
     assert report.verdict == quotient.semisimple
     factor, = report.factors
     assert factor.algebra.dim == 4 and factor.component_count == 1
@@ -232,12 +234,12 @@ def test_idempotent_centre_with_trivial_idempotent_matches_quotient():
 
 def test_idempotent_centre_rejects_nilpotent_centres():
     with pytest.raises(CentreNotEtale) as info:
-        idempotent_centre_criterion(dual_numbers_order())
+        idempotent_centre_criterion(order_facts(dual_numbers_order()))
     assert info.value.radical.dim == 1
 
 
 def test_idempotent_centre_fails_on_radical_factors():
-    report = idempotent_centre_criterion(triangular_order())
+    report = idempotent_centre_criterion(order_facts(triangular_order()))
     assert not report.verdict
     assert not report.semiprime and report.radical_witness == (0, 1, 0)
     factor, = report.factors
@@ -249,7 +251,7 @@ def test_idempotent_centre_fails_on_radical_factors():
 
 def test_embeddability_of_semiprime_orders():
     for order in SEMIPRIME_ORDERS:
-        report = embeddability_report(order)
+        report = embeddability_report(order_facts(order))
         assert report.verdict, order.name
         assert report.witness is not None
         assert report.witness.map == MatQ.identity(order.rank)
@@ -257,7 +259,7 @@ def test_embeddability_of_semiprime_orders():
 
 
 def test_embeddability_failure_names_a_nilpotent():
-    report = embeddability_report(dual_numbers_order())
+    report = embeddability_report(order_facts(dual_numbers_order()))
     assert not report.verdict
     assert report.nilpotent_witness == (0, 1)
     assert report.witness is None
@@ -268,9 +270,10 @@ def test_embeddability_failure_names_a_nilpotent():
 
 def test_criteria_agree_on_fixed_orders():
     for order in SEMIPRIME_ORDERS + (dual_numbers_order(), triangular_order()):
-        quotient = classical_quotient(order)
-        embed = embeddability_report(order)
-        criterion = centre_criterion(order)
+        facts = order_facts(order)
+        quotient = classical_quotient(facts)
+        embed = embeddability_report(facts)
+        criterion = centre_criterion(facts)
         assert quotient.semisimple == embed.verdict == criterion.verdict, order.name
 
 
@@ -278,9 +281,10 @@ def test_criteria_agree_on_fixed_orders():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_criteria_agree_on_seeded_orders(seed):
     order = seeded_semiprime_order(seed, max_blocks=3, max_dim=8)
-    quotient = classical_quotient(order, seed=seed)
-    criterion = centre_criterion(order, seed=seed)
+    facts = order_facts(order, seed=seed)
+    quotient = classical_quotient(facts)
+    criterion = centre_criterion(facts)
     assert quotient.semisimple and criterion.verdict
     assert quotient.prime_spans_match
     assert criterion.contraction_surjective
-    assert embeddability_report(order, seed=seed).verdict
+    assert embeddability_report(facts).verdict

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordembed import embeddings
 from ordembed.algebra import build_ideal, product_algebra
+from ordembed.criteria import order_facts
 from ordembed.embeddings import (
     MorphismCertificate,
     bimodule_ladder,
@@ -169,34 +171,36 @@ def test_build_embedding_rejects_non_injective_map():
 
 
 def test_canonical_embedding_of_crt_order():
-    sigma = canonical_embedding(crt_order())
+    facts = order_facts(crt_order())
+    sigma = canonical_embedding(facts)
+    assert sigma.codomain is facts.decomposition
     assert len(sigma.codomain.components) == 2
     assert sigma.component_assignment == (0, 1)
     assert sigma.map == MatQ.identity(2)
-    report = classify(sigma, BUDGET)
+    report = classify(sigma, facts.minimal_primes, BUDGET)
     assert report.natural and report.elementary is True
 
 
 def test_canonical_embedding_rejects_nonsemiprime():
     with pytest.raises(NotSemiprime) as info:
-        canonical_embedding(dual_numbers_order())
+        canonical_embedding(order_facts(dual_numbers_order()))
     assert info.value.witness == (0, 1)
 
 
 def test_embedding_document_roundtrip():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     doc = embedding_to_doc(sigma, name="sigma")
     assert doc["name"] == "sigma"
     assert all(isinstance(x, str) for row in doc["map"] for x in row)
     back = load_embedding(doc)
     assert back.codomain_dim == sigma.codomain_dim
     assert len(back.codomain.components) == 2
-    report = classify(back, BUDGET)
+    report = classify(back, minimal_primes(back.domain), BUDGET)
     assert report.natural and report.elementary is True
 
 
 def test_load_embedding_resolves_references():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     doc = embedding_to_doc(sigma)
     stash = {"the-order": doc["domain"]}
     ref_doc = dict(doc, domain="the-order")
@@ -207,7 +211,7 @@ def test_load_embedding_resolves_references():
 
 
 def test_load_embedding_rejects_bad_codomain_entries():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     doc = embedding_to_doc(sigma)
     from ordembed.algebra import algebra_to_doc
 
@@ -223,13 +227,13 @@ def test_load_embedding_rejects_bad_codomain_entries():
 
 
 def test_identity_certificate_verifies():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     ok, diag = verify_morphism(identity_certificate(sigma), natural_endpoints=True)
     assert ok, diag
 
 
 def test_verify_morphism_flags_corrupted_alpha():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     cert = identity_certificate(sigma)
     bad = MorphismCertificate(
         cert.source, cert.target, MatQ.from_rows([[1, 0], [1, 1]]), "iso"
@@ -241,7 +245,7 @@ def test_verify_morphism_flags_corrupted_alpha():
 
 def test_verify_morphism_checks_declared_kind():
     f = scalar_matrix_embedding()
-    step = minimize_step(f, BUDGET)
+    step = minimize_step(f, minimal_primes(f.domain), BUDGET)
     cert = step.into_parent
     as_epi = MorphismCertificate(cert.source, cert.target, cert.alpha, "epi")
     ok, diag = verify_morphism(as_epi)
@@ -264,7 +268,7 @@ def test_reduce_redundant_drops_padding():
 
 
 def test_reduce_redundant_keeps_irredundant_embedding():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     result = reduce_redundant(sigma)
     assert result.dropped == ()
     assert result.embedding is sigma
@@ -297,7 +301,7 @@ def test_ladder_of_scalars_on_matrix_block():
 
 
 def test_ladder_of_crt_component_reads_the_prime():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     ladder = bimodule_ladder(
         sigma.domain, sigma.codomain.components[0],
         _left_ops_on_component(sigma, 0), BUDGET,
@@ -307,7 +311,7 @@ def test_ladder_of_crt_component_reads_the_prime():
 
 
 def test_ladder_rejects_wrong_shapes():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     comp = sigma.codomain.components[0]
     with pytest.raises(DimensionMismatch):
         bimodule_ladder(sigma.domain, comp, (MatQ.identity(3),), BUDGET)
@@ -335,7 +339,7 @@ def test_ladder_refuses_unsplit_multiplicity_within_budget():
 
 def test_minimize_scalars_in_matrix_algebra():
     f = scalar_matrix_embedding()
-    step = minimize_step(f, BUDGET)
+    step = minimize_step(f, minimal_primes(f.domain), BUDGET)
     assert step.selected == ((0, 0),)
     assert step.dropped == ((0, 1),)
     assert step.source_size == 2 and step.target_size == 1
@@ -356,7 +360,7 @@ def test_minimize_crt_through_matrix_blocks():
     dec = decompose(prod)
     rows = [list(prod.unit), [1, 0, 0, 1, -1, 0, 0, -1]]
     f = build_embedding(order, dec, MatQ.from_rows(rows))
-    step = minimize_step(f, BUDGET)
+    step = minimize_step(f, minimal_primes(f.domain), BUDGET)
     assert step.selected == ((0, 0), (1, 0))
     assert step.dropped == ((0, 1), (1, 1))
     assert step.source_size == 4 and step.target_size == 2
@@ -376,7 +380,7 @@ def test_minimize_split_scalar_blocks():
         [0, 0, 0, 0, 1, 0, 0, 1],
     ]
     f = build_embedding(order, dec, MatQ.from_rows(rows))
-    step = minimize_step(f, BUDGET)
+    step = minimize_step(f, minimal_primes(f.domain), BUDGET)
     assert step.source_size == 4 and step.target_size == 2
     assert [(e.prime_index, e.component_index, e.length)
             for e in step.collection.entries] == [(0, 0, 1), (1, 1, 1)]
@@ -389,12 +393,13 @@ def test_minimize_step_rejects_redundant_embeddings():
         integers_order(), decompose(two), MatQ.from_rows([[1, 1]])
     )
     with pytest.raises(NotIrredundant):
-        minimize_step(diag_emb, BUDGET)
+        minimize_step(diag_emb, minimal_primes(diag_emb.domain), BUDGET)
 
 
 def test_minimize_step_fixes_elementary_embeddings():
-    sigma = canonical_embedding(crt_order())
-    step = minimize_step(sigma, BUDGET)
+    facts = order_facts(crt_order())
+    sigma = canonical_embedding(facts)
+    step = minimize_step(sigma, facts.minimal_primes, BUDGET)
     assert step.dropped == ()
     assert step.embedding.codomain_dim == sigma.codomain_dim
     assert step.into_parent.kind == "iso"
@@ -408,7 +413,7 @@ def test_collection_entries_pair_primes_with_carriers():
     prod = product_algebra(m2, m2, name="M2xM2")
     rows = [list(prod.unit), [1, 0, 0, 1, -1, 0, 0, -1]]
     f = build_embedding(order, decompose(prod), MatQ.from_rows(rows))
-    step = minimize_step(f, BUDGET)
+    step = minimize_step(f, minimal_primes(f.domain), BUDGET)
     primes = minimal_primes(order)
     for entry in step.collection.entries:
         assert entry.prime.lattice.basis == primes[entry.prime_index].lattice.basis
@@ -421,7 +426,8 @@ def test_collection_entries_pair_primes_with_carriers():
 
 
 def test_classify_scalars_in_matrix_algebra():
-    report = classify(scalar_matrix_embedding(), BUDGET)
+    f = scalar_matrix_embedding()
+    report = classify(f, minimal_primes(f.domain), BUDGET)
     assert report.natural is True
     assert report.elementary is False
     entry, = report.per_prime
@@ -432,7 +438,8 @@ def test_classify_scalars_in_matrix_algebra():
 def test_classify_canonical_embeddings():
     for order in (integers_order(), crt_order(), lipschitz_order(),
                   split_integers_order(3)):
-        report = classify(canonical_embedding(order), BUDGET)
+        facts = order_facts(order)
+        report = classify(canonical_embedding(facts), facts.minimal_primes, BUDGET)
         assert report.natural and report.elementary is True, order.name
         assert all(p.contraction_ok for p in report.per_prime)
 
@@ -442,7 +449,7 @@ def test_classify_demands_matching_counts():
     rows = [[1, 0, 0, 1], [1, 1, 0, -1]]
     twisted = build_embedding(crt_order(), decompose(m2), MatQ.from_rows(rows))
     with pytest.raises(UnmatchedComponents):
-        classify(twisted, BUDGET)
+        classify(twisted, minimal_primes(twisted.domain), BUDGET)
 
 
 # -- minimize_to_elementary -----------------------------------------------------------
@@ -453,6 +460,21 @@ def test_chain_for_scalars_in_matrix_algebra():
     assert [kind for kind, _ in chain.steps] == ["minimize"]
     assert chain.final.codomain_dim == 1
     assert chain.report.elementary is True
+
+
+def test_chain_computes_the_domain_primes_once(monkeypatch):
+    domains = []
+    original = embeddings.primes_of_decomposition
+
+    def counting(order, dec):
+        domains.append(order.name)
+        return original(order, dec)
+
+    monkeypatch.setattr(embeddings, "primes_of_decomposition", counting)
+    chain = minimize_to_elementary(scalar_matrix_embedding(), BUDGET)
+    # two classifications and one minimization step share the domain's primes
+    assert [kind for kind, _ in chain.steps] == ["minimize"]
+    assert domains == ["Z"]
 
 
 def test_chain_for_twisted_matrix_embedding():
@@ -470,7 +492,7 @@ def test_chain_for_twisted_matrix_embedding():
 
 
 def test_chain_is_empty_for_elementary_embeddings():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     chain = minimize_to_elementary(sigma, BUDGET)
     assert chain.steps == ()
     assert chain.final is sigma
@@ -495,7 +517,7 @@ def test_chain_reduces_before_minimizing():
 
 def test_m_equivalence_of_field_and_matrix_codomains():
     result = m_equivalence_necessary(
-        canonical_embedding(integers_order()), scalar_matrix_embedding(), BUDGET
+        canonical_embedding(order_facts(integers_order())), scalar_matrix_embedding(), BUDGET
     )
     assert result.verdict == "equivalent"
 
@@ -506,14 +528,14 @@ def test_m_equivalence_detects_quaternion_division():
         integers_order(), decompose(hamilton), MatQ.from_rows([hamilton.unit])
     )
     result = m_equivalence_necessary(
-        canonical_embedding(integers_order()), f, BUDGET
+        canonical_embedding(order_facts(integers_order())), f, BUDGET
     )
     assert result.verdict == "not_equivalent"
     assert result.per_prime[0][2] == "split against division"
 
 
 def test_m_equivalence_matches_quaternion_places():
-    sigma = canonical_embedding(lipschitz_order())
+    sigma = canonical_embedding(order_facts(lipschitz_order()))
     result = m_equivalence_necessary(sigma, sigma, BUDGET)
     assert result.verdict == "equivalent"
     assert "ramification" in result.per_prime[0][2]
@@ -524,7 +546,7 @@ def test_m_equivalence_leaves_larger_centres_undetermined():
         poly_quotient_algebra(PolyQ.make([-2, 0, 1]), name="Q(sqrt2)"),
         name="Z[sqrt2]",
     )
-    sigma = canonical_embedding(order)
+    sigma = canonical_embedding(order_facts(order))
     result = m_equivalence_necessary(sigma, sigma, BUDGET)
     assert result.verdict == "undetermined"
 
@@ -532,8 +554,8 @@ def test_m_equivalence_leaves_larger_centres_undetermined():
 def test_m_equivalence_requires_shared_domain():
     with pytest.raises(DimensionMismatch):
         m_equivalence_necessary(
-            canonical_embedding(integers_order()),
-            canonical_embedding(crt_order()),
+            canonical_embedding(order_facts(integers_order())),
+            canonical_embedding(order_facts(crt_order())),
             BUDGET,
         )
 
@@ -543,7 +565,7 @@ def test_m_equivalence_requires_natural_embeddings():
     rows = [[1, 0, 0, 1], [1, 1, 0, -1]]
     twisted = build_embedding(crt_order(), decompose(m2), MatQ.from_rows(rows))
     with pytest.raises(NotNatural):
-        m_equivalence_necessary(twisted, canonical_embedding(crt_order()), BUDGET)
+        m_equivalence_necessary(twisted, canonical_embedding(order_facts(crt_order())), BUDGET)
 
 
 # -- semiprimary reduction ------------------------------------------------------------
@@ -585,21 +607,21 @@ def test_reduce_semiprimary_validates_the_map():
 
 
 def test_localization_units_for_canonical_embeddings():
-    sigma = canonical_embedding(crt_order())
+    sigma = canonical_embedding(order_facts(crt_order()))
     assert localization_unit_check(sigma, [(2, 0), (2, 1)], BUDGET)
-    lip = canonical_embedding(lipschitz_order())
+    lip = canonical_embedding(order_facts(lipschitz_order()))
     assert localization_unit_check(lip, [(2, 0, 0, 0), (3, 0, 0, 0)], BUDGET)
 
 
 def test_localization_rejects_zero_divisors():
-    sigma = canonical_embedding(split_integers_order(2))
+    sigma = canonical_embedding(order_facts(split_integers_order(2)))
     with pytest.raises(NotRegular) as info:
         localization_unit_check(sigma, [(1, 0)], BUDGET)
     assert info.value.element == (1, 0)
 
 
 def test_localization_rejects_noncentral_elements():
-    lip = canonical_embedding(lipschitz_order())
+    lip = canonical_embedding(order_facts(lipschitz_order()))
     with pytest.raises(NotRegular, match="central"):
         localization_unit_check(lip, [(0, 1, 0, 0)], BUDGET)
 
@@ -621,8 +643,9 @@ def test_localization_requires_elementary_embedding():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_canonical_embeddings_of_seeded_orders_are_elementary(seed):
     order = seeded_semiprime_order(seed, max_blocks=3, max_dim=8)
-    sigma = canonical_embedding(order, seed=seed)
-    report = classify(sigma, BUDGET, seed=seed)
+    facts = order_facts(order, seed=seed)
+    sigma = canonical_embedding(facts)
+    report = classify(sigma, facts.minimal_primes, BUDGET, seed=seed)
     assert report.natural and report.elementary is True
     chain = minimize_to_elementary(sigma, BUDGET, seed=seed)
     assert chain.steps == ()
