@@ -19,16 +19,6 @@ def trim(f: list[int]) -> list[int]:
     return f
 
 
-def mp_add(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
 def mp_sub(f: list[int], g: list[int], p: int) -> list[int]:
     n = max(len(f), len(g))
     out = [0] * n

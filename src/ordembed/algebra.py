@@ -65,9 +65,6 @@ class StructureAlgebra:
     def basis_vec(self, i: int) -> Vec:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
-    def mul_basis(self, i: int, j: int) -> Vec:
-        return self.table[i][j]
-
     def mul(self, u: Sequence, v: Sequence) -> Vec:
         n = self.dim
         if len(u) != n or len(v) != n:
@@ -477,9 +474,6 @@ class OrderRing:
     def to_ambient(self, coords: Sequence) -> Vec:
         return row_times_mat(vec(coords), self.lattice.basis_mat())
 
-    def from_ambient(self, v: Sequence) -> IntVec | None:
-        return self.lattice.coords_of(v)
-
 
 def build_order(
     ambient: StructureAlgebra,
@@ -552,11 +546,6 @@ class LatticeIdeal:
     @property
     def rank(self) -> int:
         return self.lattice.rank
-
-    def ambient_rows(self) -> MatQ:
-        return MatQ.from_rows(
-            [self.parent.to_ambient(row) for row in self.lattice.basis]
-        )
 
     def span(self) -> Subspace:
         return self.lattice.span()
@@ -707,10 +696,6 @@ class ObstructionResult:
     refuted: bool
     idempotents: tuple
     window: int
-
-    @property
-    def obstruction_found(self) -> bool:
-        return not self.refuted and bool(self.idempotents)
 
 
 def _oracle_eq(oracle: MultOracle, a, b) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -319,7 +320,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--full-assoc-check", action="store_true")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.
+
+    Parsing leaves it unchanged, and a parser is a web of reference cycles:
+    one built per `run_report` call stays in memory until the cycle
+    collector happens to run.
+    """
     parser = argparse.ArgumentParser(
         prog="ordembed",
         description="Exact analysis of Z-orders and their embeddings",

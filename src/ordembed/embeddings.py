@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import (
@@ -61,6 +60,7 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
+    _primitive_int_row,
     inverse,
     lattice_intersect_subspace,
     left_kernel,
@@ -75,6 +75,7 @@ from .wedderburn import (
     SemisimpleDecomposition,
     SimpleComponent,
     SimplicityResult,
+    _coords_to_matrix,
     certify_simple_module,
     commutant_matrices,
     decompose,
@@ -256,14 +257,11 @@ def embedding_to_doc(
 
 
 def _primitive_integer(row: Sequence) -> tuple[int, ...]:
-    fracs = [Fraction(x) for x in row]
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * den) for f in fracs]
-    g = gcd(*ints) if any(ints) else 1
-    lead = next((x for x in ints if x), 1)
-    if lead < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    """The primitive integer multiple of a rational row whose first nonzero entry is positive."""
+    ints = _primitive_int_row(row)
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
 def _nilpotent_witness(order: OrderRing, exc: NotSemisimple) -> tuple[int, ...]:
@@ -539,15 +537,6 @@ class BimoduleLadder:
         return len(self.factors)
 
 
-def _matrix_of(coords: Sequence, mats: Sequence[MatQ]) -> MatQ:
-    d = mats[0].nrows
-    out = MatQ.zeros(d, d)
-    for c, m in zip(coords, mats):
-        if c:
-            out = out + m.scale(c)
-    return out
-
-
 def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
     """Split a semisimple module into simple invariant summands.
 
@@ -574,7 +563,7 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
         if status.kind == "split" and status.idempotents:
             n = len(status.idempotents)
             for eps in status.idempotents:
-                e_mat = _matrix_of(comp.to_parent(eps), comm_mats)
+                e_mat = _coords_to_matrix(comp.to_parent(eps), comm_mats)
                 local = Subspace.from_rows(w.dim, e_mat.transpose().rows)
                 assert local.dim * n == w.dim, "idempotents cut equal-size blocks"
                 out.append(Subspace.from_rows(
@@ -780,7 +769,7 @@ def _simple_part(alg: StructureAlgebra, budget: int, seed: int) -> tuple:
 def _prime_action_image(fac: LadderFactor, prime: LatticeIdeal) -> Subspace:
     rows = []
     for g in prime.lattice.basis:
-        m = _matrix_of([Fraction(x) for x in g], fac.left_action)
+        m = _coords_to_matrix(g, fac.left_action)
         rows.extend(m.transpose().rows)
     return Subspace.from_rows(fac.carrier.dim, rows)
 

@@ -64,10 +64,6 @@ class NotSemisimple(OrdembedError):
         super().__init__(message or "algebra has a nonzero radical")
 
 
-class NotSimple(OrdembedError):
-    """A component expected to be simple is not."""
-
-
 class NotSemisimpleAction(OrdembedError):
     """Isotypic splitting of a non-semisimple operator algebra action."""
 

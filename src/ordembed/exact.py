@@ -157,9 +157,6 @@ class PolyQ:
             acc = acc * x + c
         return acc
 
-    def to_strings(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

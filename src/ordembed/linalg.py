@@ -10,9 +10,13 @@ Conventions used across the workbench:
 * operators on a coordinate space are matrices acting on column vectors,
   so composition is matrix multiplication in application order.
 
-Elimination is fraction-free: rows are scaled to primitive integer vectors
-and cross-multiplication with content extraction keeps intermediate entries
-integral; pivots are normalized to 1 only in the final step.
+The exact kernels work in integers between a rational entry and a rational
+exit. `rref` reads each row as a primitive integer vector straight from the
+numerators and denominators (an `int` entry is taken as it is), eliminates
+by cross-multiplication with content extraction, and divides by the pivot
+only when it builds the result. `MatQ.__mul__` clears one common
+denominator per operand, multiplies integers and skips zeros. Every entry
+these kernels return is a `Fraction`, so callers never see an `int`.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from .errors import DimensionMismatch
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
+_ZERO = Fraction(0)
+
 
 def vec(items: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in items)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -48,11 +54,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(u: Vec, c) -> Vec:
-    c = Fraction(c)
-    return tuple(a * c for a in u)
-
-
 def vec_dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
@@ -69,7 +70,7 @@ class MatQ:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "MatQ":
-        out = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        out = tuple(vec(r) for r in rows)
         if out and any(len(r) != len(out[0]) for r in out):
             raise DimensionMismatch("ragged rows")
         return MatQ(out)
@@ -108,8 +109,20 @@ class MatQ:
     def __mul__(self, other: "MatQ") -> "MatQ":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        cols = other.transpose().rows
-        return MatQ(tuple(tuple(vec_dot(r, c) for c in cols) for r in self.rows))
+        a, a_den = clear_denominators(self.rows)
+        b, b_den = clear_denominators(other.rows)
+        den = a_den * b_den
+        width = other.ncols
+        out = []
+        for r in a:
+            acc = [0] * width
+            for x, brow in zip(r, b):
+                if x:
+                    for j, y in enumerate(brow):
+                        if y:
+                            acc[j] += x * y
+            out.append(tuple(Fraction(t, den) if t else _ZERO for t in acc))
+        return MatQ(tuple(out))
 
     def scale(self, c) -> "MatQ":
         c = Fraction(c)
@@ -193,13 +206,21 @@ def mat_unvec(v: Sequence, nrows: int, ncols: int) -> MatQ:
     return MatQ(tuple(tuple(v[i * ncols + j] for j in range(ncols)) for i in range(nrows)))
 
 
-# -- fraction-free elimination --------------------------------------------------
+# -- integer-first elimination --------------------------------------------------
 
 
-def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
-    den = lcm(*(c.denominator for c in row)) if row else 1
-    ints = [int(c * den) for c in row]
-    g = gcd(*ints) if len(ints) > 1 else abs(ints[0]) if ints else 0
+def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer rows and one common denominator: rows == ints / den."""
+    den = lcm(*[c.denominator for r in rows for c in r])
+    if den == 1:
+        return [[c.numerator for c in r] for r in rows], 1
+    return [[c.numerator * (den // c.denominator) for c in r] for r in rows], den
+
+
+def _primitive_int_row(row: Sequence) -> list[int]:
+    """The row scaled to a primitive integer vector (int or Fraction entries)."""
+    (ints,), _ = clear_denominators((row,))
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return ints
@@ -229,9 +250,9 @@ class RrefResult:
 def rref(m: MatQ) -> RrefResult:
     """Reduced row echelon form with pivot columns.
 
-    Fraction-free: the elimination works on primitive integer rows with
-    cross-multiplication and content extraction; pivots are divided out
-    only when assembling the final matrix.
+    Integer-first: the elimination works on primitive integer rows with
+    cross-multiplication and content extraction; each result entry is built
+    once as Fraction(x, pivot).
     """
     rows = [_primitive_int_row(r) for r in m.rows]
     ncols = m.ncols
@@ -253,8 +274,8 @@ def rref(m: MatQ) -> RrefResult:
             break
     out_rows = []
     for k, col in enumerate(pivots):
-        pv = Fraction(rows[k][col])
-        out_rows.append(tuple(Fraction(x) / pv for x in rows[k]))
+        pv = rows[k][col]
+        out_rows.append(tuple(Fraction(x, pv) if x else _ZERO for x in rows[k]))
     reduced = MatQ(tuple(out_rows) + tuple(zero_vec(ncols) for _ in range(len(rows) - len(pivots))))
     return RrefResult(reduced, tuple(pivots))
 

@@ -36,9 +36,8 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
-    kron,
+    clear_denominators,
     left_kernel,
-    mat_hstack,
     mat_unvec,
     mat_vec_of,
     op_apply,
@@ -104,10 +103,6 @@ class SplitStatus:
     @staticmethod
     def unknown(budget: int, *, note: str = "") -> "SplitStatus":
         return SplitStatus("unknown", budget=budget, note=note)
-
-    @property
-    def is_split(self) -> bool:
-        return self.kind == "split"
 
     @property
     def is_unknown(self) -> bool:
@@ -220,6 +215,11 @@ def decompose(a: StructureAlgebra, *, seed: int = 0) -> SemisimpleDecomposition:
     rad = radical(a)
     if rad.dim:
         raise NotSemisimple(rad)
+    return _decompose_semisimple(a, seed=seed)
+
+
+def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomposition:
+    """The body of `decompose`, for callers that have found rad(a) = 0 themselves."""
     if a.dim == 0:
         return SemisimpleDecomposition(a, (), ())
 
@@ -594,18 +594,67 @@ def spanned_algebra(e: OperatorAlgebra, *, name: str = "spanned") -> tuple[Struc
 
 
 def commutant_matrices(e: OperatorAlgebra) -> tuple[MatQ, ...]:
-    """Basis of {X : XG = GX for all generators G}."""
+    """Basis of {X : XG = GX for all generators G}, in canonical RREF order.
+
+    The generators are imposed one at a time. The first one's conditions
+    form the d^2 x d^2 system vec(X) @ (kron(I, G) - kron(G^T, I)) = 0, built
+    entry by entry; each later generator only constrains the combinations
+    of the basis found so far, through vec(XG - GX) for each basis matrix X.
+    Scalar generators commute with everything and are passed over. Both
+    systems are integer multiples of the true ones, which have the same
+    left kernel: a generator G may be scaled, and so may the basis.
+    """
     d = e.module_dim
-    eye = MatQ.identity(d)
-    blocks = []
-    for g in e.generators:
-        blocks.append(kron(eye, g) - kron(g.transpose(), eye))
-    if not blocks:
+    gens = [clear_denominators(g.rows)[0] for g in e.generators if not _is_scalar(g)]
+    if not gens:
         return tuple(mat_unvec(r, d, d) for r in Subspace.full(d * d).basis.rows)
-    stacked = mat_hstack(*blocks)
-    rows = left_kernel(stacked)
-    sub = Subspace.from_rows(d * d, rows.rows)
+    basis = left_kernel(MatQ(_commutator_system(gens[0])))
+    for g in gens[1:]:
+        xs, _ = clear_denominators(basis.rows)
+        # never empty: the identity commutes with every generator
+        combos = left_kernel(MatQ(tuple(_commutator_vec(x, g) for x in xs)))
+        basis = combos * basis
+    sub = Subspace.from_rows(d * d, basis.rows)
     return tuple(mat_unvec(r, d, d) for r in sub.basis.rows)
+
+
+def _is_scalar(g: MatQ) -> bool:
+    if not g.rows:
+        return True
+    c = g.rows[0][0]
+    return all(x == (c if i == j else 0) for i, r in enumerate(g.rows) for j, x in enumerate(r))
+
+
+def _commutator_system(g: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """kron(I, G) - kron(G^T, I) for an integer G: row i*d + j is vec(E_ij G - G E_ij)."""
+    d = len(g)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            row = [0] * (d * d)
+            for l in range(d):
+                row[i * d + l] += g[j][l]
+            for k in range(d):
+                row[k * d + j] -= g[k][i]
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _commutator_vec(x: Sequence[int], g: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """vec(XG - GX) for integer G and X given as its row-major vec(X)."""
+    d = len(g)
+    out = [0] * (d * d)
+    for i in range(d):
+        for k in range(d):
+            a = x[i * d + k]  # X[i][k] adds X[i][k] * G[k] to row i of XG
+            if a:
+                for l, b in enumerate(g[k]):
+                    out[i * d + l] += a * b
+            a = g[i][k]  # G[i][k] adds G[i][k] * X[k] to row i of GX
+            if a:
+                for l in range(d):
+                    out[i * d + l] -= a * x[k * d + l]
+    return tuple(out)
 
 
 def commutant(e: OperatorAlgebra, *, name: str = "commutant") -> StructureAlgebra:
@@ -634,8 +683,8 @@ def isotypic_split(e: OperatorAlgebra, module_dim: int | None = None, *, seed: i
 
 
 def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed: int) -> tuple[IsotypicPart, ...]:
-    """Isotypic parts of Q^d under the semisimple algebra alg spanned by mats."""
-    dec = decompose(alg, seed=seed)
+    """Isotypic parts of Q^d under the algebra alg spanned by mats; rad(alg) = 0."""
+    dec = _decompose_semisimple(alg, seed=seed)
     parts = []
     covered = 0
     for comp in dec.components:

@@ -1,13 +1,16 @@
 """CLI: report envelopes, exit codes, corpus verification."""
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import ordembed
 from ordembed import criteria, embeddings, wedderburn
 from ordembed.algebra import algebra_to_doc, order_to_doc
 from ordembed.cli import CORPUS_DIR, main, run_report
@@ -302,6 +305,16 @@ def test_verify_passes_on_pristine_corpus():
     report = doc["report"]
     assert report["failed"] == 0 and report["unverified"] == 0
     assert report["passed"] == len(report["entries"])
+
+
+def test_verify_passes_with_asserts_stripped():
+    """`python -O` drops every assert, so no computation a report needs may hide in one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordembed.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-O", "-m", "ordembed", "verify"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    entries = json.loads(done.stdout)["report"]["entries"]
+    assert [e["status"] for e in entries] == ["ok"] * 15
 
 
 def test_verify_detects_golden_drift(tmp_path):

@@ -124,15 +124,45 @@ def test_rref_frozen():
     assert res.matrix.rows[1] == (F(0), F(1), F(2))
 
 
-sparse_entries = st.one_of(st.just(F(0)), small_entries)
+# Raw `int` and `Fraction` entries side by side, as MatQ(...) may hold them, with
+# zero rows, negative leading entries and denominators far beyond a machine word.
+mixed_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    small_entries,
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 30),
+)
+
+
+@st.composite
+def mixed_matrices(draw, rows=None, cols=None):
+    r = rows if rows is not None else draw(st.integers(1, 5))
+    c = cols if cols is not None else draw(st.integers(1, 5))
+    out = []
+    for _ in range(r):
+        if draw(st.integers(0, 4)) == 0:
+            out.append((0,) * c)
+            continue
+        row = [draw(mixed_entries) for _ in range(c)]
+        if draw(st.booleans()):
+            row = [-x for x in row]
+        out.append(tuple(row))
+    return MatQ(tuple(out))
+
+
+def to_sympy(m: MatQ) -> sympy.Matrix:
+    return sympy.Matrix(m.nrows, m.ncols,
+                        [sympy.Rational(x.numerator, x.denominator) for r in m.rows for x in r])
+
+
+def from_sympy(m: sympy.Matrix) -> list[list[F]]:
+    return [[F(int(x.p), int(x.q)) for x in r] for r in m.tolist()]
 
 
 @st.composite
 def sparse_product_pairs(draw):
     r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
-    a = [[draw(sparse_entries) for _ in range(k)] for _ in range(r)]
-    b = [[draw(sparse_entries) for _ in range(c)] for _ in range(k)]
-    return MatQ.from_rows(a), MatQ.from_rows(b)
+    return draw(mixed_matrices(r, k)), draw(mixed_matrices(k, c))
 
 
 @given(sparse_product_pairs())
@@ -146,9 +176,17 @@ def test_sparse_product_matches_definition_and_sympy(pair):
             entry = prod.rows[i][j]
             assert type(entry) is F
             assert entry == sum(a.rows[i][t] * b.rows[t][j] for t in range(a.ncols))
-    theirs = sympy.Matrix(a.rows) * sympy.Matrix(b.rows)
-    assert [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in prod.rows] \
-        == theirs.tolist()
+    assert [list(r) for r in prod.rows] == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@given(mixed_matrices())
+@settings(deadline=None, max_examples=150)
+def test_rref_on_mixed_entries_matches_sympy(m):
+    res = rref(m)
+    theirs, pivots = to_sympy(m).rref()
+    assert res.pivots == tuple(pivots)
+    assert [list(r) for r in res.matrix.rows] == from_sympy(theirs)
+    assert all(type(x) is F for r in res.matrix.rows for x in r)
 
 
 def test_inverse_roundtrip():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,16 @@ from ordembed.errors import (
     NotSemisimple,
     NotSemisimpleAction,
 )
-from ordembed.linalg import MatQ, Subspace, op_apply, unit_vec
+from ordembed.linalg import (
+    MatQ,
+    Subspace,
+    kron,
+    left_kernel,
+    mat_hstack,
+    mat_vec_of,
+    op_apply,
+    unit_vec,
+)
 from ordembed.samples import (
     cyclic_group_algebra,
     dihedral4_group_algebra,
@@ -257,6 +267,56 @@ def test_commutant_of_full_matrix_action_is_scalars():
     assert len(mats) == 1
     c = commutant(e)
     assert c.dim == 1
+
+
+mixed_entries = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.integers(-3, 3).map(F),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def generator_sets(draw):
+    """1-4 generators (or none) of size d <= 4: scalars, and matrices that
+    often preserve the split Q^s + Q^(d-s), so that commutants vary in size."""
+    d = draw(st.integers(1, 4))
+    split = draw(st.integers(1, d))
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(mixed_entries)
+            gens.append(MatQ.identity(d).scale(c))
+            continue
+        block = draw(st.booleans())
+        gens.append(MatQ(tuple(
+            tuple(F(0) if block and (i < split) != (j < split) else draw(mixed_entries)
+                  for j in range(d))
+            for i in range(d)
+        )))
+    return d, gens
+
+
+@given(generator_sets())
+@settings(deadline=None, max_examples=120)
+def test_commutant_matches_kronecker_system_and_sympy(case):
+    d, gens = case
+    e = operator_algebra(gens, module_dim=d)
+    ours = tuple(mat_vec_of(m) for m in commutant_matrices(e))
+    eye = MatQ.identity(d)
+    if gens:
+        stacked = mat_hstack(*(kron(eye, g) - kron(g.transpose(), eye) for g in gens))
+        expected = Subspace.from_rows(d * d, left_kernel(stacked).rows)
+    else:
+        stacked = MatQ(((),) * (d * d))
+        expected = Subspace.full(d * d)
+    assert ours == expected.basis.rows
+    assert all(type(x) is F for r in ours for x in r)
+    theirs = sympy.Matrix(d * d, len(stacked.rows[0]),
+                          [sympy.Rational(x.numerator, x.denominator)
+                           for r in stacked.rows for x in r]).T.nullspace()
+    assert len(theirs) == len(ours)
+    oracle = Subspace.from_rows(d * d, [[F(int(x.p), int(x.q)) for x in v] for v in theirs])
+    assert oracle.basis.rows == ours
 
 
 def test_double_centralizer():
