@@ -340,16 +340,25 @@ def _primitive(f: list[int]) -> list[int]:
     return g
 
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-                 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149]
+def _primes():
+    """2, 3, 5, 7, 11, ... without end, by trial division."""
+    yield 2
+    n = 3
+    while True:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
 
 
 def factor_squarefree_int(f: list[int]) -> list[list[int]]:
     """Factor a primitive squarefree f in Z[x] into primitive irreducibles.
 
-    Zassenhaus: try a few good primes, keep the one with fewest modular
-    factors, Hensel lift past the Landau-Mignotte bound, then recombine
-    subsets of the lifted factors by exact trial division over Z.
+    Zassenhaus: take the first four good primes, keep the one with fewest
+    modular factors, Hensel lift past the Landau-Mignotte bound, then
+    recombine subsets of the lifted factors by exact trial division over Z.
+    The search ends: a prime is bad only if it divides lc(f) * disc(f), which
+    is nonzero for squarefree f, and it stops early at a prime modulo which
+    f is irreducible.
     """
     n = len(f) - 1
     if n <= 0:
@@ -358,7 +367,7 @@ def factor_squarefree_int(f: list[int]) -> list[list[int]]:
         return [_primitive(f)]
     lc = f[-1]
     choices = []
-    for p in _SMALL_PRIMES:
+    for p in _primes():
         if lc % p == 0:
             continue
         fp = trim([c % p for c in f])
@@ -372,8 +381,6 @@ def factor_squarefree_int(f: list[int]) -> list[list[int]]:
         choices.append((len(factors_p), p, factors_p))
         if len(choices) >= 4:
             break
-    if not choices:
-        raise RuntimeError("no admissible prime among the first candidates")
     _, p, factors_p = min(choices, key=lambda t: (t[0], t[1]))
     factors_p = sorted(factors_p, key=lambda h: (len(h), h))
     norm = math.isqrt(sum(c * c for c in f)) + 1

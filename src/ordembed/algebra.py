@@ -471,9 +471,6 @@ class OrderRing:
     def name(self) -> str:
         return self.coord_algebra.name
 
-    def to_ambient(self, coords: Sequence) -> Vec:
-        return row_times_mat(vec(coords), self.lattice.basis_mat())
-
 
 def build_order(
     ambient: StructureAlgebra,

@@ -13,15 +13,16 @@ is exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     LatticeIdeal,
     OrderRing,
     StructureAlgebra,
-    build_algebra,
     build_ideal,
     build_order,
     centre,
+    induced_algebra,
     product_algebra,
 )
 from .embeddings import (
@@ -42,7 +43,6 @@ from .linalg import (
     lattice_intersect_subspace,
     rank,
     row_times_mat,
-    solve_row,
     vec,
 )
 from .wedderburn import SemisimpleDecomposition, decompose
@@ -66,30 +66,6 @@ __all__ = [
 
 
 # -- subalgebras carved out of the rational span -----------------------------------
-
-
-def _structure_on_rows(
-    parent: StructureAlgebra, rows: MatQ, unit_coords: Vec, *, name: str, prefix: str
-) -> StructureAlgebra:
-    """The multiplication of `parent` restricted to the span of `rows`.
-
-    The rows must be linearly independent and multiplication-closed; the
-    produced algebra uses them as its basis.
-    """
-    k = rows.nrows
-    solver = RowSolver(rows)
-    table = []
-    for i in range(k):
-        line = []
-        for j in range(k):
-            prod = parent.mul(rows.row(i), rows.row(j))
-            coords = solver.solve(prod)
-            if coords is None:
-                raise ParseError("rows are not closed under multiplication")
-            line.append(tuple(coords))
-        table.append(tuple(line))
-    labels = tuple(f"{prefix}{i}" for i in range(k))
-    return build_algebra(name, labels, unit_coords, tuple(table))
 
 
 def _slice_rows(alg: StructureAlgebra, e: Vec) -> MatQ:
@@ -141,10 +117,9 @@ def centre_of(order: OrderRing, *, seed: int = 0) -> CentreData:
     zsub = centre(alg)
     zlat = lattice_intersect_subspace(Lattice.standard(order.rank), zsub)
     zrows = MatQ.from_rows(zlat.basis)
-    unit_coords = solve_row(zrows, alg.unit)
-    assert unit_coords is not None, "unit must be central"
-    zalg = _structure_on_rows(
-        alg, zrows, unit_coords, name=f"Z({order.name})", prefix="z"
+    zalg = induced_algebra(
+        alg, zrows, name=f"Z({order.name})", unit_hint=alg.unit,
+        labels=[f"z{i}" for i in range(zrows.nrows)],
     )
     zorder = build_order(zalg)
     try:
@@ -170,7 +145,9 @@ class OrderFacts:
     an integer nilpotent element of the order. `minimal_primes` are read off
     that same decomposition (empty when it is None), and `centre` is the
     order's centre. Build it once with order_facts and pass it to every
-    report about the order.
+    report about the order. The slices of the span and their product
+    isomorphism are built on first use and kept, so the criteria that read
+    them share one copy.
     """
 
     order: OrderRing
@@ -183,6 +160,16 @@ class OrderFacts:
     @property
     def semiprime(self) -> bool:
         return self.decomposition is not None
+
+    @cached_property
+    def slices(self) -> tuple[SliceData, ...]:
+        """One slice e*Q per primitive central idempotent e; empty without them."""
+        return _build_slices(self.order.coord_algebra, self.centre, seed=self.seed)
+
+    @cached_property
+    def product_iso(self) -> tuple[StructureAlgebra, MatQ]:
+        """The product of the slices and the verified isomorphism onto it."""
+        return _product_iso(self.order.coord_algebra, self.slices)
 
 
 def order_facts(order: OrderRing, *, seed: int = 0) -> OrderFacts:
@@ -283,10 +270,9 @@ def _build_slices(
     slices = []
     for i, e in enumerate(centre_data.idempotents):
         rows = _slice_rows(alg, e)
-        unit_coords = solve_row(rows, e)
-        assert unit_coords is not None
-        sl = _structure_on_rows(
-            alg, rows, unit_coords, name=f"{alg.name}@q{i}", prefix="s"
+        sl = induced_algebra(
+            alg, rows, name=f"{alg.name}@q{i}", unit_hint=e,
+            labels=[f"s{k}" for k in range(rows.nrows)],
         )
         try:
             count = len(decompose(sl, seed=seed).components)
@@ -358,7 +344,6 @@ def centre_criterion(facts: OrderFacts) -> CentreCriterionReport:
     contraction map from minimal primes onto minimal central primes.
     """
     order, centre_data = facts.order, facts.centre
-    alg = order.coord_algebra
     conditions = []
 
     semiprime = facts.semiprime
@@ -404,7 +389,7 @@ def centre_criterion(facts: OrderFacts) -> CentreCriterionReport:
             order, False, tuple(conditions), centre_data, (), None, None, None, None
         )
 
-    slices = _build_slices(alg, centre_data, seed=facts.seed)
+    slices = facts.slices
     regular_ok = all(
         sl.centre_dim == centre_data.minimal_primes[sl.prime_index].parent.rank
         - centre_data.minimal_primes[sl.prime_index].lattice.rank
@@ -442,7 +427,7 @@ def centre_criterion(facts: OrderFacts) -> CentreCriterionReport:
     contraction = None
     surjective = None
     if verdict:
-        product_alg, product_map = _product_iso(alg, slices)
+        product_alg, product_map = facts.product_iso
         contraction, surjective = _contract_primes(facts.minimal_primes, centre_data)
     return CentreCriterionReport(
         order,
@@ -481,7 +466,6 @@ def idempotent_centre_criterion(facts: OrderFacts) -> IdempotentCentreReport:
     CentreNotEtale before any factor is built.
     """
     order, centre_data = facts.order, facts.centre
-    alg = order.coord_algebra
     if not centre_data.semiprime:
         lifted = Subspace.from_rows(
             order.rank,
@@ -491,12 +475,12 @@ def idempotent_centre_criterion(facts: OrderFacts) -> IdempotentCentreReport:
     for comp in centre_data.decomposition.components:
         assert comp.centre_dim == comp.algebra.dim, "commutative blocks are fields"
 
-    factors = _build_slices(alg, centre_data, seed=facts.seed)
+    factors = facts.slices
     verdict = facts.semiprime and all(f.semisimple for f in factors)
     product_alg = None
     product_map = None
     if verdict:
-        product_alg, product_map = _product_iso(alg, factors)
+        product_alg, product_map = facts.product_iso
     return IdempotentCentreReport(
         order,
         verdict,

@@ -42,6 +42,7 @@ from .algebra import (
     two_sided_ideal_subspace,
 )
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     DomainNotSemiprime,
     NotElementary,
@@ -68,7 +69,6 @@ from .linalg import (
     op_apply,
     rank,
     row_times_mat,
-    solve_row,
     vec,
 )
 from .wedderburn import (
@@ -77,15 +77,14 @@ from .wedderburn import (
     SimplicityResult,
     _coords_to_matrix,
     certify_simple_module,
-    commutant_matrices,
     decompose,
     isotypic_split,
-    matrices_to_algebra,
     operator_algebra,
     radical,
     resolve_split_status,
     restrict_op,
     semisimple_quotient,
+    simple_commutant,
 )
 
 if TYPE_CHECKING:
@@ -117,6 +116,17 @@ class Embedding:
         return row_times_mat(vec(coords), self.map)
 
 
+def _non_multiplicative_pair(
+    src: StructureAlgebra, dst: StructureAlgebra, m: MatQ
+) -> tuple[int, int] | None:
+    """The first basis pair (i, j) with m(b_i b_j) != m(b_i) m(b_j), or None."""
+    for i in range(src.dim):
+        for j in range(src.dim):
+            if row_times_mat(src.table[i][j], m) != dst.mul(m.row(i), m.row(j)):
+                return i, j
+    return None
+
+
 def _check_ring_map(src: StructureAlgebra, dst: StructureAlgebra, m: MatQ) -> None:
     if m.shape != (src.dim, dst.dim):
         raise DimensionMismatch(
@@ -124,14 +134,9 @@ def _check_ring_map(src: StructureAlgebra, dst: StructureAlgebra, m: MatQ) -> No
         )
     if row_times_mat(src.unit, m) != dst.unit:
         raise ParseError("map does not send the unit to the unit")
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = row_times_mat(src.table[i][j], m)
-            rhs = dst.mul(m.row(i), m.row(j))
-            if lhs != rhs:
-                raise ParseError(
-                    f"map is not multiplicative at basis pair ({i}, {j})"
-                )
+    pair = _non_multiplicative_pair(src, dst, m)
+    if pair is not None:
+        raise ParseError(f"map is not multiplicative at basis pair {pair}")
 
 
 def build_embedding(
@@ -155,11 +160,25 @@ def build_embedding(
     return Embedding(domain, codomain, m, assignment)
 
 
-def _component_coords(parent: StructureAlgebra, comp: SimpleComponent, v: Sequence) -> Vec:
-    projected = parent.mul(vec(v), comp.idempotent)
-    coords = solve_row(comp.block_rows, projected)
-    assert coords is not None, "central projection lands in its own block"
-    return coords
+def _project_rows(
+    codomain: SemisimpleDecomposition, rows: Sequence[Sequence], keep: Sequence[int]
+) -> MatQ:
+    """Each row's block coordinates in the kept components, concatenated.
+
+    A row v of the codomain's parent projects onto component i as v * e_i,
+    with e_i its central idempotent; the result row lists the block
+    coordinates of v * e_i for each i in `keep`, in that order.
+    """
+    parent = codomain.parent
+    out: list[list] = [[] for _ in rows]
+    for i in keep:
+        comp = codomain.components[i]
+        solver = RowSolver(comp.block_rows)
+        for line, v in zip(out, rows):
+            coords = solver.solve(parent.mul(vec(v), comp.idempotent))
+            assert coords is not None, "central projection lands in its own block"
+            line.extend(coords)
+    return MatQ(tuple(tuple(line) for line in out))
 
 
 def canonical_embedding(facts: OrderFacts) -> Embedding:
@@ -242,14 +261,8 @@ def embedding_to_doc(
         doc["codomain"] = list(codomain_refs)
     else:
         doc["codomain"] = [algebra_to_doc(c.algebra) for c in emb.codomain.components]
-    parent = emb.codomain.parent
-    rows = []
-    for t in range(emb.domain.rank):
-        row: list[str] = []
-        for comp in emb.codomain.components:
-            row.extend(str(x) for x in _component_coords(parent, comp, emb.map.row(t)))
-        rows.append(row)
-    doc["map"] = rows
+    coords = _project_rows(emb.codomain, emb.map.rows, range(len(emb.codomain)))
+    doc["map"] = [[str(x) for x in row] for row in coords.rows]
     return doc
 
 
@@ -385,16 +398,10 @@ def verify_morphism(
     if not diag["shape"]:
         return False, diag
     diag["unital"] = row_times_mat(src.unit, cert.alpha) == dst.unit
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = row_times_mat(src.table[i][j], cert.alpha)
-            rhs = dst.mul(cert.alpha.row(i), cert.alpha.row(j))
-            if lhs != rhs:
-                diag["multiplicative"] = False
-                diag["failing_pair"] = (i, j)
-                break
-        if not diag["multiplicative"]:
-            break
+    pair = _non_multiplicative_pair(src, dst, cert.alpha)
+    if pair is not None:
+        diag["multiplicative"] = False
+        diag["failing_pair"] = pair
     for t in range(cert.source.domain.rank):
         if row_times_mat(cert.source.map.row(t), cert.alpha) != cert.target.map.row(t):
             diag["triangle"] = False
@@ -419,6 +426,13 @@ def verify_morphism(
     return ok, diag
 
 
+def _require_verified(cert: MorphismCertificate, what: str) -> None:
+    """Raise CertificateFailure unless verify_morphism accepts `cert`."""
+    ok, diag = verify_morphism(cert)
+    if not ok:
+        raise CertificateFailure(diag, f"{what} certificate failed: {diag}")
+
+
 # -- redundancy reduction -------------------------------------------------------------
 
 
@@ -427,17 +441,6 @@ class ReduceResult:
     embedding: Embedding
     dropped: tuple[int, ...]
     certificate: MorphismCertificate
-
-
-def _projected_map(f: Embedding, keep: Sequence[int]) -> MatQ:
-    parent = f.codomain.parent
-    rows = []
-    for t in range(f.domain.rank):
-        row: list[Fraction] = []
-        for i in keep:
-            row.extend(_component_coords(parent, f.codomain.components[i], f.map.row(t)))
-        rows.append(tuple(row))
-    return MatQ(tuple(rows))
 
 
 def project_embedding(f: Embedding, keep: Sequence[int]) -> tuple[Embedding, MorphismCertificate]:
@@ -452,23 +455,14 @@ def project_embedding(f: Embedding, keep: Sequence[int]) -> tuple[Embedding, Mor
     comps = [f.codomain.components[i] for i in keep]
     parts = [(c.algebra, c.centre_dim, c.reduced_degree, c.split_status) for c in comps]
     dec = _product_decomposition(parts, name=f"{f.codomain.parent.name}.proj")
-    parent = f.codomain.parent
-    pr_rows = []
-    for k in range(parent.dim):
-        basis_vec = parent.basis_vec(k)
-        row: list[Fraction] = []
-        for comp in comps:
-            row.extend(_component_coords(parent, comp, basis_vec))
-        pr_rows.append(tuple(row))
-    pr = MatQ(tuple(pr_rows))
+    pr = _project_rows(f.codomain, MatQ.identity(f.codomain_dim).rows, keep)
     new_map = MatQ(tuple(row_times_mat(f.map.row(t), pr) for t in range(f.domain.rank)))
     assignment = None
     if f.component_assignment is not None:
         assignment = tuple(f.component_assignment[i] for i in keep)
     emb = build_embedding(f.domain, dec, new_map, assignment=assignment)
     cert = MorphismCertificate(f, emb, pr, "epi")
-    ok, diag = verify_morphism(cert)
-    assert ok, f"projection certificate failed: {diag}"
+    _require_verified(cert, "projection")
     return emb, cert
 
 
@@ -489,14 +483,14 @@ def reduce_redundant(f: Embedding) -> ReduceResult:
             if len(keep) == 1:
                 break
             trial = [j for j in keep if j != idx]
-            if rank(_projected_map(f, trial)) == f.domain.rank:
+            if rank(_project_rows(f.codomain, f.map.rows, trial)) == f.domain.rank:
                 keep = trial
                 changed = True
                 break
     for idx in keep:
         trial = [j for j in keep if j != idx]
         if trial:
-            assert rank(_projected_map(f, trial)) < f.domain.rank
+            assert rank(_project_rows(f.codomain, f.map.rows, trial)) < f.domain.rank
     if len(keep) == count:
         return ReduceResult(f, (), identity_certificate(f))
     emb, cert = project_embedding(f, keep)
@@ -550,12 +544,7 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
         restricted = operator_algebra(
             tuple(restrict_op(g, w) for g in e.generators), module_dim=w.dim
         )
-        comm_alg, comm_mats = matrices_to_algebra(
-            commutant_matrices(restricted), name="End"
-        )
-        dec = decompose(comm_alg, seed=seed)
-        assert len(dec.components) == 1, "commutant of an isotypic module is simple"
-        comp = resolve_split_status(dec.components[0], budget, seed=seed)
+        _, comp, comm_mats = simple_commutant(restricted, budget, name="End", seed=seed)
         status = comp.split_status
         if comp.reduced_degree == 1 or status.kind == "quaternion_division":
             out.append(w)
@@ -592,13 +581,9 @@ def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeId
 
 
 def _left_ops_on_component(f: Embedding, index: int) -> tuple[MatQ, ...]:
-    comp = f.codomain.components[index]
-    parent = f.codomain.parent
-    ops = []
-    for t in range(f.domain.rank):
-        coords = _component_coords(parent, comp, f.map.row(t))
-        ops.append(comp.algebra.left_mult_op(coords))
-    return tuple(ops)
+    algebra = f.codomain.components[index].algebra
+    coords = _project_rows(f.codomain, f.map.rows, (index,))
+    return tuple(algebra.left_mult_op(row) for row in coords.rows)
 
 
 def bimodule_ladder(
@@ -759,13 +744,6 @@ def _product_decomposition(parts: Sequence[tuple], *, name: str) -> SemisimpleDe
     return SemisimpleDecomposition(product, tuple(idempotents), tuple(components))
 
 
-def _simple_part(alg: StructureAlgebra, budget: int, seed: int) -> tuple:
-    dec = decompose(alg, seed=seed)
-    assert len(dec.components) == 1, "endomorphism ring of a simple module is simple"
-    comp = resolve_split_status(dec.components[0], budget, seed=seed)
-    return (alg, comp.centre_dim, comp.reduced_degree, comp.split_status)
-
-
 def _prime_action_image(fac: LadderFactor, prime: LatticeIdeal) -> Subspace:
     rows = []
     for g in prime.lattice.basis:
@@ -797,7 +775,7 @@ def minimize_step(
     count = len(f.codomain.components)
     for i in range(count):
         keep = [j for j in range(count) if j != i]
-        if keep and rank(_projected_map(f, keep)) == domain.rank:
+        if keep and rank(_project_rows(f.codomain, f.map.rows, keep)) == domain.rank:
             raise NotIrredundant(f"component {i} can be dropped")
 
     ladders = []
@@ -855,11 +833,12 @@ def minimize_step(
     for k in order_keys:
         fac = factors[k]
         right_e = operator_algebra(fac.right_action, module_dim=fac.carrier.dim)
-        alg, mats = matrices_to_algebra(
-            commutant_matrices(right_e), name=f"End{k[0]}.{k[1]}"
+        alg, comp, mats = simple_commutant(
+            right_e, budget, name=f"End{k[0]}.{k[1]}", seed=seed
         )
+        part = (alg, comp.centre_dim, comp.reduced_degree, comp.split_status)
         basis_rows = MatQ(tuple(mat_vec_of(m) for m in mats))
-        ends[k] = (_simple_part(alg, budget, seed), mats, basis_rows)
+        ends[k] = (part, mats, basis_rows)
 
     resolved = tuple(
         resolve_split_status(c, budget, seed=seed) for c in f.codomain.components
@@ -977,8 +956,7 @@ def minimize_step(
     alpha = MatQ(tuple(alpha_rows))
     alpha_kind = "iso" if c_dec.parent.dim == f.codomain.parent.dim else "mono"
     into_parent = MorphismCertificate(combined, f, alpha, alpha_kind)
-    ok, diag = verify_morphism(into_parent)
-    assert ok, f"summand reassembly certificate failed: {diag}"
+    _require_verified(into_parent, "summand reassembly")
 
     if dropped_keys:
         b_dim = b_dec.parent.dim
@@ -988,8 +966,7 @@ def minimize_step(
             for r in range(c_dim)
         ))
         onto_selected = MorphismCertificate(combined, phi, pr, "epi")
-        ok, diag = verify_morphism(onto_selected)
-        assert ok, f"projection certificate failed: {diag}"
+        _require_verified(onto_selected, "projection")
     else:
         onto_selected = identity_certificate(phi)
 

@@ -111,6 +111,14 @@ class DomainNotSemiprime(OrdembedError):
         super().__init__(message or "domain intersects the radical nontrivially")
 
 
+class CertificateFailure(OrdembedError):
+    """A certificate the workbench built failed its re-check; carries the diagnostics."""
+
+    def __init__(self, diagnostics=None, message: str | None = None):
+        self.diagnostics = diagnostics
+        super().__init__(message or f"certificate failed its re-check: {diagnostics}")
+
+
 class NotElementary(OrdembedError):
     """Operation requires an elementary embedding."""
 

@@ -663,6 +663,22 @@ def commutant(e: OperatorAlgebra, *, name: str = "commutant") -> StructureAlgebr
     return alg
 
 
+def simple_commutant(
+    e: OperatorAlgebra, budget: int, *, name: str, seed: int = 0
+) -> tuple[StructureAlgebra, SimpleComponent, tuple[MatQ, ...]]:
+    """The commutant of an isotypic module, with its split status resolved.
+
+    Returns the commutant as an algebra named `name`, its single simple
+    component after resolve_split_status within `budget`, and the matrices
+    its basis stands for. The module must be isotypic under `e` (a simple
+    module is), which makes the commutant simple.
+    """
+    alg, mats = matrices_to_algebra(commutant_matrices(e), name=name)
+    dec = decompose(alg, seed=seed)
+    assert len(dec.components) == 1, "commutant of an isotypic module is simple"
+    return alg, resolve_split_status(dec.components[0], budget, seed=seed), mats
+
+
 @dataclass(frozen=True)
 class IsotypicPart:
     subspace: Subspace
@@ -776,11 +792,7 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
         )
         return SimplicityResult("not_simple", witness=witness,
                                 note="multiple isotypic components")
-    comm_mats = commutant_matrices(sub_action)
-    comm_alg, _ = matrices_to_algebra(comm_mats, name="End")
-    comm_dec = decompose(comm_alg, seed=seed)
-    assert len(comm_dec.components) == 1, "isotypic module has simple commutant"
-    comp = resolve_split_status(comm_dec.components[0], budget, seed=seed)
+    _, comp, comm_mats = simple_commutant(sub_action, budget, name="End", seed=seed)
     status = comp.split_status
     if status.kind == "split" and status.matrix_size == 1:
         return SimplicityResult("simple", note="commutant is a field")

@@ -1,6 +1,7 @@
 """CLI: report envelopes, exit codes, corpus verification."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,13 +13,24 @@ import pytest
 
 import ordembed
 from ordembed import criteria, embeddings, wedderburn
-from ordembed.algebra import algebra_to_doc, order_to_doc
+from ordembed.algebra import algebra_to_doc, load_order, order_to_doc
 from ordembed.cli import CORPUS_DIR, main, run_report
+from ordembed.criteria import order_facts
+from ordembed.embeddings import (
+    MorphismCertificate,
+    canonical_embedding,
+    load_embedding,
+    verify_morphism,
+)
+from ordembed.exact import PolyQ
+from ordembed.linalg import MatQ
 from ordembed.samples import (
     integer_matrix_order,
     integers_order,
     matrix_algebra,
+    poly_quotient_algebra,
     quaternion_algebra,
+    rational_algebra,
 )
 
 CORPUS = CORPUS_DIR
@@ -147,6 +159,34 @@ def test_order_facts_are_computed_once_per_command(monkeypatch, command):
     assert primes == {"QC4": 1, "Z(QC4)": 1}
 
 
+@pytest.mark.parametrize("name, order, slices", [
+    ("c4", "QC4", 3),
+    ("d4", "QD4", 5),
+])
+def test_criteria_builds_each_slice_once(monkeypatch, name, order, slices):
+    decomposed = count_calls(monkeypatch, wedderburn, "decompose", lambda alg: alg.name)
+    isos = count_calls(monkeypatch, criteria, "_product_iso", lambda alg: alg.name)
+    _, code = run_report("criteria", order_arg(name))
+    assert code == 0
+    sliced = {k: v for k, v in decomposed.items() if "@q" in k}
+    assert sliced == {f"{order}@q{i}": 1 for i in range(slices)}
+    assert isos == {order: 1}
+
+
+def test_decompose_when_every_small_prime_is_bad(tmp_path):
+    # x^2 - N is not squarefree modulo any prime below 400
+    n = math.prod(p for p in range(2, 400) if all(p % d for d in range(2, p)))
+    alg = poly_quotient_algebra(PolyQ.make([-n, 0, 1]), name="Q(sqrt N)")
+    path = tmp_path / "sqrt-primorial.json"
+    path.write_text(json.dumps(algebra_to_doc(alg)))
+    doc, code = run_json("decompose", ["--algebra", str(path)])
+    assert code == 0
+    report = doc["report"]
+    assert report["semisimple"] and report["component_count"] == 1
+    (comp,) = report["components"]
+    assert comp["dim"] == 2 and comp["centre_dim"] == 2
+
+
 def test_analyze_command_summarizes_verdicts():
     doc, code = run_json("analyze", order_arg("lipschitz"))
     assert code == 0
@@ -204,6 +244,17 @@ def test_embedding_refs_resolve_next_to_the_file():
     doc, code = run_json("classify", ["--embedding", str(CORPUS / "demo-crt.json")])
     assert code == 0
     assert "ref:crt" in doc["inputs"] and "ref:m2z" in doc["inputs"]
+
+
+def test_failed_certificate_exits_one(monkeypatch):
+    monkeypatch.setattr(
+        embeddings, "verify_morphism", lambda cert, **kwargs: (False, {"triangle": False})
+    )
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    assert "Traceback" not in text
 
 
 def test_budget_exhaustion_exits_two(tmp_path):
@@ -276,6 +327,32 @@ def test_non_injective_embedding_exits_one(tmp_path):
     out, code = run_json("classify", ["--embedding", str(path)])
     assert code == 1
     assert out["report"]["error"]["type"] == "ParseError"
+
+
+# crt = Z[x]/(x^2 - 1) on the basis 1, x, into Q x Q: the rows are the images of
+# 1 and x, and only 1 -> (1, 1), x -> (1, -1) (or its swap) is an injective ring map
+@pytest.mark.parametrize("rows, message, unital, failing_pair", [
+    ([["1", "0"], ["-1", "0"]], "map does not send the unit to the unit", False, None),
+    ([["1", "1"], ["1", "2"]], "map is not multiplicative at basis pair (1, 1)", True, (1, 1)),
+], ids=["non-unital", "non-multiplicative"])
+def test_bad_ring_maps_exit_one(tmp_path, rows, message, unital, failing_pair):
+    crt = json.loads((CORPUS / "crt.json").read_text())
+    codomain = [algebra_to_doc(rational_algebra())] * 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"domain": crt, "codomain": codomain, "map": rows}))
+    out, code = run_json("classify", ["--embedding", str(path)])
+    assert code == 1
+    assert out["report"]["error"] == {"type": "ParseError", "message": message}
+
+    # the same matrix as a morphism out of the span of crt
+    source = canonical_embedding(order_facts(load_order(crt)))
+    target = load_embedding({"domain": crt, "codomain": codomain,
+                             "map": [["1", "1"], ["1", "-1"]]})
+    cert = MorphismCertificate(source, target, MatQ.from_rows(rows), "iso")
+    ok, diag = verify_morphism(cert)
+    assert not ok
+    assert diag["unital"] is unital
+    assert diag.get("failing_pair") == failing_pair
 
 
 # -- output modes ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for rational polynomial arithmetic, factorization, and Hilbert symbols."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +84,9 @@ def test_squarefree_decomposition():
     assert got == {(2, P(-1, 1).coeffs), (3, P(2, 1).coeffs)}
 
 
+# every prime below 400 divides the discriminant of x^2 - N and of (x - N)(x + N)
+N400 = math.prod(p for p in range(2, 400) if all(p % d for d in range(2, p)))
+
 FACTOR_CASES = [
     # (poly, expected list of (coeffs of monic irreducible factor, multiplicity))
     (P(-1, 0, 0, 0, 1), [((F(-1), F(1)), 1), ((F(1), F(1)), 1), ((F(1), F(0), F(1)), 1)]),
@@ -91,6 +95,8 @@ FACTOR_CASES = [
     (P(1, 0, -10, 0, 1), [((F(1), F(0), F(-10), F(0), F(1)), 1)]),
     (P(2, 0, 0, 1), [((F(2), F(0), F(0), F(1)), 1)]),
     (P(1, 3, 2), [((F(1, 2), F(1)), 1), ((F(1), F(1)), 1)]),
+    (P(-N400, 0, 1), [((F(-N400), F(0), F(1)), 1)]),
+    (P(-N400, 1) * P(N400, 1), [((F(-N400), F(1)), 1), ((F(N400), F(1)), 1)]),
 ]
 
 
