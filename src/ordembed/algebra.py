@@ -12,9 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Protocol, Sequence
 
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     NonSaturatedIdeal,
     NotAssociative,
@@ -30,13 +33,14 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
+    clear_denominators,
     inverse,
     is_zero_vec,
     kernel,
     lattice_intersect_subspace,
     left_kernel,
-    mat_vstack,
     rank,
+    rational_row,
     row_times_mat,
     snf,
     solve_row,
@@ -50,7 +54,13 @@ ASSOC_SAMPLE_TRIPLES = 1000
 
 @dataclass(frozen=True)
 class StructureAlgebra:
-    """Finite-dimensional associative unital algebra over Q."""
+    """Finite-dimensional associative unital algebra over Q.
+
+    `table[i][j]` is the product of basis elements i and j. Products and
+    multiplication operators read an integer view of it, built once per
+    algebra: one common denominator and, per pair (i, j), the nonzero
+    entries as (m, int) pairs.
+    """
 
     name: str
     basis_labels: tuple[str, ...]
@@ -62,26 +72,47 @@ class StructureAlgebra:
     def dim(self) -> int:
         return len(self.basis_labels)
 
+    @cached_property
+    def _int_table(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(den, entries) with table[i][j][m] == t / den for each (m, t) in entries[i][j]."""
+        den = lcm(*[c.denominator for row in self.table for prod in row for c in prod])
+        return den, tuple(
+            tuple(
+                tuple((m, c.numerator * (den // c.denominator)) for m, c in enumerate(prod) if c)
+                for prod in row
+            )
+            for row in self.table
+        )
+
+    @cached_property
+    def _unit_rows(self) -> tuple[Vec, ...]:
+        return MatQ.identity(self.dim).rows
+
     def basis_vec(self, i: int) -> Vec:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return self._unit_rows[i]
+
+    def _int_terms(self, a: Sequence) -> tuple[list[tuple[int, int]], int]:
+        """(i, t) per nonzero entry of an element, with a[i] == t / den; and den."""
+        if len(a) != self.dim:
+            raise DimensionMismatch("element length vs algebra dim")
+        terms = [(i, c) for i, c in enumerate(a) if c]
+        den = lcm(*[c.denominator for _, c in terms])
+        if den == 1:
+            return [(i, c.numerator) for i, c in terms], 1
+        return [(i, c.numerator * (den // c.denominator)) for i, c in terms], den
 
     def mul(self, u: Sequence, v: Sequence) -> Vec:
-        n = self.dim
-        if len(u) != n or len(v) != n:
-            raise DimensionMismatch("element length vs algebra dim")
-        out = [Fraction(0)] * n
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            a = Fraction(a)
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * Fraction(b)
-                for m, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[m] += ab * c
-        return tuple(out)
+        u_terms, u_den = self._int_terms(u)
+        v_terms, v_den = self._int_terms(v)
+        den, table = self._int_table
+        acc = [0] * self.dim
+        for i, a in u_terms:
+            row = table[i]
+            for j, b in v_terms:
+                ab = a * b
+                for m, c in row[j]:
+                    acc[m] += ab * c
+        return rational_row(acc, den * u_den * v_den)
 
     def power(self, a: Sequence, k: int) -> Vec:
         out = self.unit
@@ -93,17 +124,27 @@ class StructureAlgebra:
             k >>= 1
         return out
 
+    def _int_mult_op(self, a: Sequence, *, left: bool) -> tuple[list[list[int]], int]:
+        """Integer matrix and denominator of v -> a*v (left) or v -> v*a."""
+        a_terms, a_den = self._int_terms(a)
+        den, table = self._int_table
+        n = self.dim
+        acc = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for i, x in a_terms:
+                for m, c in (table[i][j] if left else table[j][i]):
+                    acc[m][j] += x * c
+        return acc, den * a_den
+
     def left_mult_op(self, a: Sequence) -> MatQ:
         """Column-convention matrix of v -> a*v."""
-        n = self.dim
-        cols = [self.mul(a, self.basis_vec(j)) for j in range(n)]
-        return MatQ(tuple(tuple(cols[j][m] for j in range(n)) for m in range(n)))
+        rows, den = self._int_mult_op(a, left=True)
+        return MatQ(tuple(rational_row(r, den) for r in rows))
 
     def right_mult_op(self, a: Sequence) -> MatQ:
         """Column-convention matrix of v -> v*a."""
-        n = self.dim
-        cols = [self.mul(self.basis_vec(j), a) for j in range(n)]
-        return MatQ(tuple(tuple(cols[j][m] for j in range(n)) for m in range(n)))
+        rows, den = self._int_mult_op(a, left=False)
+        return MatQ(tuple(rational_row(r, den) for r in rows))
 
     def trace(self, a: Sequence) -> Fraction:
         """Trace of the left regular representation of a."""
@@ -116,15 +157,43 @@ class StructureAlgebra:
         return total
 
     def minimal_polynomial(self, a: Sequence) -> PolyQ:
-        a = vec(a)
-        powers = [self.unit]
-        current = self.unit
+        """Monic generator of {p : p(a) = 0}.
+
+        The powers a^k are integer rows over their own denominators. One
+        echelon form grows power by power; each echelon row carries the
+        combination of powers it equals, so the first power that reduces
+        to zero yields the relation.
+        """
+        op, op_den = self._int_mult_op(a, left=False)
+        (power,), scale = clear_denominators((self.unit,))
+        scales = [scale]
+        echelon: list[tuple[list[int], list[int], int]] = []
+        if any(power):
+            echelon.append((power, [1], next(j for j, x in enumerate(power) if x)))
         while True:
-            current = self.mul(current, a)
-            coeffs = solve_row(MatQ(tuple(powers)), current)
-            if coeffs is not None:
-                return PolyQ.make([-c for c in coeffs] + [Fraction(1)])
-            powers.append(current)
+            power = [sum(x * y for x, y in zip(r, power) if x) for r in op]
+            scale *= op_den
+            g = gcd(*power, scale)
+            power = [x // g for x in power]
+            scale //= g
+            k = len(scales)
+            scales.append(scale)
+            row, comb = power, [0] * k + [1]
+            for e_row, e_comb, p in echelon:
+                f = row[p]
+                if f:
+                    pv = e_row[p]
+                    row = [pv * x - f * y for x, y in zip(row, e_row)]
+                    comb = ([pv * x - f * y for x, y in zip(comb, e_comb)]
+                            + [pv * x for x in comb[len(e_comb):]])
+                    g = gcd(*row, *comb)
+                    row = [x // g for x in row]
+                    comb = [x // g for x in comb]
+            if not any(row):
+                # sum_t comb[t] * scales[t] * a^t == 0, and comb[k] != 0
+                lead = comb[k] * scales[k]
+                return PolyQ.make([Fraction(c * s, lead) for c, s in zip(comb, scales)])
+            echelon.append((row, comb, next(j for j, x in enumerate(row) if x)))
 
     def is_commutative(self) -> bool:
         n = self.dim
@@ -375,15 +444,29 @@ def quotient_algebra_by_subspace(
 
 
 def centre(a: StructureAlgebra) -> Subspace:
-    """{z : z b = b z for all b}, as the kernel of stacked commutators."""
-    if a.dim == 0:
+    """{z : z b = b z for all b}, as one kernel of integer commutator rows.
+
+    e_i z - z e_i has entry m equal to sum_j z_j (T[i][j][m] - T[j][i][m]),
+    so each pair (i, m) gives one row; zero and repeated rows are dropped.
+    """
+    n = a.dim
+    if n == 0:
         return Subspace.zero(0)
-    blocks = []
-    for i in range(a.dim):
-        e = a.basis_vec(i)
-        blocks.append(a.left_mult_op(e) - a.right_mult_op(e))
-    stacked = mat_vstack(*blocks)
-    return Subspace.from_rows(a.dim, kernel(stacked).rows)
+    _, table = a._int_table
+    rows: dict[tuple[int, ...], None] = {}
+    for i in range(n):
+        comm = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for m, c in table[i][j]:
+                comm[m][j] += c
+            for m, c in table[j][i]:
+                comm[m][j] -= c
+        for r in comm:
+            if any(r):
+                rows[tuple(r)] = None
+    if not rows:
+        return Subspace.full(n)
+    return Subspace.from_rows(n, kernel(MatQ(tuple(rows))).rows)
 
 
 def left_annihilator(a: StructureAlgebra, s: Subspace) -> Subspace:
@@ -637,11 +720,12 @@ def quotient_by_ideal(parent: OrderRing, ideal: LatticeIdeal, *, name: str | Non
             tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)),
         )
     d, _, v = snf([list(r) for r in ideal.lattice.basis])
-    assert all(d[i][i] == 1 for i in range(k)), "saturated ideal has unit invariant factors"
+    if any(d[i][i] != 1 for i in range(k)):
+        raise CertificateFailure(message="saturated ideal has an invariant factor other than 1")
     v_mat = MatQ.from_rows(v)
     w = inverse(v_mat)  # rows of w are an adapted basis of Z^n
-    for row in w.rows:
-        assert all(x.denominator == 1 for x in row)
+    if any(x.denominator != 1 for row in w.rows for x in row):
+        raise CertificateFailure(message="Smith transform is not unimodular")
     proj = MatQ(tuple(tuple(v_mat.rows[i][j] for j in range(k, n)) for i in range(n)))
     lifts = tuple(tuple(int(x) for x in w.rows[i]) for i in range(k, n))
     q = n - k

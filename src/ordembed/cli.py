@@ -1,8 +1,9 @@
 """Command-line front end: report emission with reproducible envelopes.
 
 Exit codes: 0 for verdict-bearing runs (including negative verdicts), 1 for
-input problems and golden drift, 2 when a budget ran out and the report
-carries Unknown statuses or an entry could not be verified.
+input problems, failed certificates and golden drift, 2 when a budget or a
+bounded search ran out and the report carries Unknown statuses or an error,
+or an entry could not be verified.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     NotSemiprime,
     NotSemisimple,
     OrdembedError,
+    SearchExhausted,
     UnmatchedComponents,
     UnresolvedSimplicity,
 )
@@ -377,6 +379,8 @@ def _execute(args) -> tuple[str, int]:
         body, code = HANDLERS[args.command](args, inputs)
     except UnresolvedSimplicity as exc:
         body, code = error_doc(exc, budget=exc.budget), EXIT_BUDGET
+    except SearchExhausted as exc:
+        body, code = error_doc(exc, limit=exc.limit), EXIT_BUDGET
     except OrdembedError as exc:
         body, code = error_doc(exc), EXIT_INPUT
     except OSError as exc:

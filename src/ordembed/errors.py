@@ -18,6 +18,14 @@ class ZeroPolynomial(OrdembedError):
     """Factorization of the zero polynomial was requested."""
 
 
+class SearchExhausted(OrdembedError):
+    """A bounded deterministic search ended without its result; carries the limit."""
+
+    def __init__(self, limit: int, message: str | None = None):
+        self.limit = limit
+        super().__init__(message or f"search exhausted after {limit} candidates")
+
+
 # -- linear algebra -----------------------------------------------------------
 
 class DimensionMismatch(OrdembedError):

@@ -10,13 +10,15 @@ Pollard rho with a fixed deterministic schedule.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
+from .errors import SearchExhausted
 from .exact import RatLike, rat
 
 INF_PLACE = "inf"
 
 _TRIAL_LIMIT = 10 ** 6
+
+_RHO_CONSTANTS = 1000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -50,7 +52,7 @@ def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n; deterministic parameter sweep."""
     if n % 2 == 0:
         return 2
-    for c in range(1, 1000):
+    for c in range(1, _RHO_CONSTANTS):
         x = y = 2
         d = 1
         while d == 1:
@@ -60,7 +62,7 @@ def _pollard_rho(n: int) -> int:
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise RuntimeError(f"factor search exhausted for {n}")
+    raise SearchExhausted(_RHO_CONSTANTS - 1, f"factor search exhausted for {n}")
 
 
 def factor_int(n: int) -> dict[int, int]:

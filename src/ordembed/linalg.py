@@ -17,6 +17,8 @@ by cross-multiplication with content extraction, and divides by the pivot
 only when it builds the result. `MatQ.__mul__` clears one common
 denominator per operand, multiplies integers and skips zeros. Every entry
 these kernels return is a `Fraction`, so callers never see an `int`.
+`Lattice.coords_of` back-substitutes in integers against the HNF rows; a
+vector with a non-integral entry is outside the lattice at once.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ class MatQ:
                     for j, y in enumerate(brow):
                         if y:
                             acc[j] += x * y
-            out.append(tuple(Fraction(t, den) if t else _ZERO for t in acc))
+            out.append(rational_row(acc, den))
         return MatQ(tuple(out))
 
     def scale(self, c) -> "MatQ":
@@ -215,6 +217,13 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     if den == 1:
         return [[c.numerator for c in r] for r in rows], 1
     return [[c.numerator * (den // c.denominator) for c in r] for r in rows], den
+
+
+def rational_row(ints: Sequence[int], den: int) -> Vec:
+    """The row ints / den as Fractions, with one shared zero."""
+    if den == 1:
+        return tuple(Fraction(t) if t else _ZERO for t in ints)
+    return tuple(Fraction(t, den) if t else _ZERO for t in ints)
 
 
 def _primitive_int_row(row: Sequence) -> list[int]:
@@ -538,20 +547,31 @@ class Lattice:
         return Subspace.from_rows(self.ambient, self.basis)
 
     def coords_of(self, v: Sequence) -> IntVec | None:
-        """Integer coefficients against the HNF basis, or None if outside."""
-        residual = [Fraction(x) for x in v]
-        if len(residual) != self.ambient:
+        """Integer coefficients against the HNF basis, or None if outside.
+
+        Back-substitutes in integers: the lattice lies in Z^ambient, so a
+        vector with a non-integral entry is outside at once.
+        """
+        if len(v) != self.ambient:
             raise DimensionMismatch("vector/ambient mismatch")
+        residual = []
+        for x in v:
+            if type(x) is not int:
+                x = x if type(x) is Fraction else Fraction(x)
+                if x.denominator != 1:
+                    return None
+                x = x.numerator
+            residual.append(x)
         coeffs = []
         for row in self.basis:
             p = next(j for j, x in enumerate(row) if x)
-            c = residual[p] / row[p]
-            if c.denominator != 1:
+            c, r = divmod(residual[p], row[p])
+            if r:
                 return None
-            coeffs.append(c.numerator)
-            for j in range(self.ambient):
-                residual[j] -= c * row[j]
-        if not is_zero_vec(residual):
+            coeffs.append(c)
+            if c:
+                residual = [a - c * b for a, b in zip(residual, row)]
+        if any(residual):
             return None
         return tuple(coeffs)
 

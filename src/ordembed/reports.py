@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from . import __version__
-from .algebra import LatticeIdeal, OrderRing, StructureAlgebra, rat_str
+from .algebra import LatticeIdeal, OrderRing, rat_str
 from .criteria import (
     CentreData,
     CentreCriterionReport,
@@ -24,7 +24,6 @@ from .criteria import (
 )
 from .embeddings import (
     ClassifyReport,
-    Embedding,
     MinimizeChain,
     MinimizeStepResult,
     MorphismCertificate,

@@ -24,10 +24,12 @@ from .algebra import (
     quotient_algebra_by_subspace,
 )
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     NotInvariant,
     NotSemisimple,
     NotSemisimpleAction,
+    SearchExhausted,
 )
 from .exact import PolyQ, factor_rational_poly, poly_xgcd
 from .hilbert import ramified_places
@@ -237,8 +239,9 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
         certified_field = False
         for tries, combo in enumerate(_centre_candidates(c, seed)):
             if tries >= DECOMPOSE_CANDIDATE_CAP:
-                raise RuntimeError(
-                    "centre splitting failed to certify a field within the candidate cap"
+                raise SearchExhausted(
+                    DECOMPOSE_CANDIDATE_CAP,
+                    "centre splitting failed to certify a field within the candidate cap",
                 )
             z = row_times_mat(combo, z_sub.basis)
             mp = block.minimal_polynomial(z)
@@ -257,14 +260,19 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
                 break
         if split_found:
             continue
-        assert certified_field
+        if not certified_field:
+            raise CertificateFailure(message="centre candidate search ended without a field")
         finished.append((unit_vec, rows, block, c))
 
     components = []
     for unit_vec, rows, block, c in finished:
         d = block.dim
         m = isqrt(d // c)
-        assert m * m * c == d, "component dimension must be centre_dim * square"
+        if m * m * c != d:
+            raise CertificateFailure(
+                {"dim": d, "centre_dim": c},
+                "component dimension must be centre_dim * square",
+            )
         status = SplitStatus.split(1) if m == 1 else SplitStatus.unknown(0, note="unresolved")
         components.append(SimpleComponent(
             algebra=block,
@@ -277,14 +285,18 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
     components.sort(key=lambda comp: (comp.dim, comp.idempotent))
     # consistency: orthogonality and completeness of the idempotents
     total = tuple(Fraction(0) for _ in range(a.dim))
-    for comp in components:
+    for i, comp in enumerate(components):
         total = tuple(x + y for x, y in zip(total, comp.idempotent))
-        assert a.mul(comp.idempotent, comp.idempotent) == comp.idempotent
-    assert total == a.unit
+        if a.mul(comp.idempotent, comp.idempotent) != comp.idempotent:
+            raise CertificateFailure({"component": i}, f"idempotent {i} does not square to itself")
+    if total != a.unit:
+        raise CertificateFailure(message="central idempotents do not sum to the unit")
     for i, ci in enumerate(components):
         for j, cj in enumerate(components):
-            if i != j:
-                assert all(x == 0 for x in a.mul(ci.idempotent, cj.idempotent))
+            if i != j and any(a.mul(ci.idempotent, cj.idempotent)):
+                raise CertificateFailure(
+                    {"components": [i, j]}, f"idempotents {i} and {j} are not orthogonal"
+                )
     return SemisimpleDecomposition(a, tuple(c.idempotent for c in components),
                                    tuple(components))
 

@@ -1,10 +1,15 @@
 """Structure algebras, orders, ideals, quotients, and the inverse obstruction."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from ordembed.algebra import (
+    StructureAlgebra,
     algebra_to_doc,
     build_algebra,
     build_ideal,
@@ -24,6 +29,7 @@ from ordembed.algebra import (
     saturate_ideal,
     two_sided_ideal_generated,
 )
+from ordembed.cli import CORPUS_DIR
 from ordembed.errors import (
     NoUnit,
     NonSaturatedIdeal,
@@ -34,9 +40,13 @@ from ordembed.errors import (
 from ordembed.exact import PolyQ
 from ordembed.linalg import MatQ, Subspace, unit_vec
 from ordembed.samples import (
+    change_basis,
     cyclic_group_algebra,
     matrix_algebra,
     poly_quotient_algebra,
+    quaternion_algebra,
+    random_unimodular,
+    rational_algebra,
     upper_triangular_algebra,
 )
 
@@ -349,3 +359,138 @@ def test_sampled_associativity_flag():
         m8.name, m8.basis_labels, m8.unit, m8.table, full_assoc_check=True
     )
     assert checked.assoc_fully_checked
+
+
+# -- the integer table against the entrywise definition ------------------------------
+
+# Raw `int` and `Fraction` entries side by side, denominators up to 10^6.
+mixed_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+)
+
+
+@st.composite
+def tables_and_elements(draw):
+    """An unchecked table with zero products, and three elements on it."""
+    n = draw(st.integers(1, 4))
+
+    def product():
+        if draw(st.integers(0, 2)) == 0:
+            return (F(0),) * n
+        return tuple(F(draw(mixed_entries)) for _ in range(n))
+
+    table = tuple(tuple(product() for _ in range(n)) for _ in range(n))
+    alg = StructureAlgebra("T", tuple(f"b{i}" for i in range(n)), (F(1),) + (F(0),) * (n - 1),
+                           table)
+    u, v, a = (tuple(draw(mixed_entries) for _ in range(n)) for _ in range(3))
+    return alg, u, v, a
+
+
+def product_by_definition(alg, u, v):
+    n = alg.dim
+    return tuple(
+        sum((F(u[i]) * F(v[j]) * alg.table[i][j][m] for i in range(n) for j in range(n)), F(0))
+        for m in range(n)
+    )
+
+
+@given(tables_and_elements())
+@settings(deadline=None, max_examples=150)
+def test_integer_products_match_the_fraction_definition(case):
+    alg, u, v, a = case
+    n = alg.dim
+    prod = alg.mul(u, v)
+    assert prod == product_by_definition(alg, u, v)
+    left, right = alg.left_mult_op(a), alg.right_mult_op(a)
+    for m in range(n):
+        for j in range(n):
+            assert left.rows[m][j] == sum((F(a[i]) * alg.table[i][j][m] for i in range(n)), F(0))
+            assert right.rows[m][j] == sum((F(a[i]) * alg.table[j][i][m] for i in range(n)), F(0))
+    entries = list(prod) + [x for op in (left, right) for r in op.rows for x in r]
+    assert all(type(x) is F for x in entries)
+
+
+BLOCKS = (
+    rational_algebra,
+    lambda: cyclic_group_algebra(2),
+    lambda: cyclic_group_algebra(3),
+    lambda: poly_quotient_algebra(PolyQ.make([1, 0, 1]), name="Q(i)"),
+    lambda: matrix_algebra(2),
+    lambda: quaternion_algebra(-1, -1),
+    lambda: upper_triangular_algebra(2),
+)
+
+
+@st.composite
+def scrambled_products(draw):
+    """A product of one or two sample blocks on a scaled unimodular basis."""
+    blocks = [BLOCKS[i]() for i in draw(st.lists(st.integers(0, len(BLOCKS) - 1),
+                                                 min_size=1, max_size=2))]
+    alg = blocks[0] if len(blocks) == 1 else product_algebra(*blocks)
+    n = alg.dim
+    u = random_unimodular(n, random.Random(draw(st.integers(0, 10 ** 6))))
+    scales = [F(draw(st.integers(1, 5)), draw(st.integers(1, 7))) for _ in range(n)]
+    u = MatQ(tuple(tuple(s * x for x in r) for s, r in zip(scales, u.rows)))
+    element = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    return change_basis(alg, u), element
+
+
+def sympy_left_op(alg, a):
+    n = alg.dim
+    return sympy.Matrix(n, n, lambda m, j: sum(
+        (sympy.Rational(F(a[i]) * alg.table[i][j][m]) for i in range(n)), sympy.Integer(0)))
+
+
+@given(scrambled_products())
+@settings(deadline=None, max_examples=40)
+def test_centre_matches_sympy(case):
+    alg, _ = case
+    n = alg.dim
+    stacked = sympy.Matrix.vstack(*[
+        sympy.Matrix(n, n, lambda m, j: sympy.Rational(alg.table[i][j][m] - alg.table[j][i][m]))
+        for i in range(n)
+    ])
+    theirs = sympy.Matrix.hstack(*stacked.nullspace()).T.rref()[0]
+    ours = centre(alg).basis
+    assert ours.nrows == theirs.rows
+    assert [list(r) for r in ours.rows] == [
+        [F(int(x.p), int(x.q)) for x in theirs.row(k)] for k in range(theirs.rows)
+    ]
+
+
+@given(scrambled_products())
+@settings(deadline=None, max_examples=40)
+def test_minimal_polynomial_matches_sympy(case):
+    alg, a = case
+    op = sympy_left_op(alg, a)
+    powers = [sympy.eye(alg.dim)]
+    while True:
+        powers.append(op * powers[-1])
+        relations = sympy.Matrix.hstack(*[p.reshape(alg.dim ** 2, 1) for p in powers]).nullspace()
+        if relations:
+            rel = relations[0] / relations[0][len(powers) - 1]
+            break
+    ours = alg.minimal_polynomial(a)
+    assert list(ours.coeffs) == [F(int(x.p), int(x.q)) for x in rel]
+    assert all(type(x) is F for x in ours.coeffs)
+
+
+def test_table_reads_make_no_products(monkeypatch):
+    alg = load_order(json.loads((CORPUS_DIR / "d4.json").read_text())).coord_algebra
+    calls = []
+    original = StructureAlgebra.mul
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return original(self, u, v)
+
+    monkeypatch.setattr(StructureAlgebra, "mul", counting)
+    z = centre(alg)
+    for b in z.basis.rows + alg.table[1]:
+        alg.left_mult_op(b)
+        alg.right_mult_op(b)
+        alg.minimal_polynomial(b)
+    assert z.dim == 5
+    assert calls == []

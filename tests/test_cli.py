@@ -257,6 +257,30 @@ def test_failed_certificate_exits_one(monkeypatch):
     assert "Traceback" not in text
 
 
+def test_candidate_cap_exhaustion_is_a_json_report(monkeypatch):
+    monkeypatch.setattr(wedderburn, "DECOMPOSE_CANDIDATE_CAP", 0)
+    text, code = run_report("decompose", order_arg("c4"))
+    assert code in (1, 2)
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "SearchExhausted"
+    assert "Traceback" not in text
+
+
+def test_corrupted_idempotent_fails_its_certificate(monkeypatch):
+    original = wedderburn._crt_idempotents
+
+    def doubled_first(block, z, factors):
+        first, *rest = original(block, z, factors)
+        return [tuple(2 * x for x in first)] + rest
+
+    monkeypatch.setattr(wedderburn, "_crt_idempotents", doubled_first)
+    text, code = run_report("decompose", order_arg("c4"))
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    assert "idempotent" in error["message"]
+
+
 def test_budget_exhaustion_exits_two(tmp_path):
     hidden = quaternion_algebra(1, 3)
     doc = {

@@ -17,8 +17,10 @@ from ordembed.exact import (
     rat_str,
     squarefree_decomposition,
 )
+from ordembed.errors import SearchExhausted
 from ordembed.hilbert import (
     INF_PLACE,
+    _pollard_rho,
     factor_int,
     hilbert_symbol,
     is_prime,
@@ -190,6 +192,13 @@ def test_factor_int():
     assert factor_int(2 ** 4 * 3 * 7 ** 2) == {2: 4, 3: 1, 7: 2}
     big = 10_000_019 * 10_000_079
     assert factor_int(big) == {10_000_019: 1, 10_000_079: 1}
+
+
+def test_factor_search_exhaustion_is_typed():
+    # on a prime every rho cycle closes with gcd n, so the sweep runs out
+    with pytest.raises(SearchExhausted) as info:
+        _pollard_rho(101)
+    assert info.value.limit == 999
 
 
 def test_is_prime_small():

@@ -322,6 +322,52 @@ def test_lattice_membership_and_coords():
     assert [sum(c[i] * lat.basis[i][j] for i in range(2)) for j in range(2)] == [4, 8]
 
 
+def fraction_coords(lat, v):
+    """Lattice coordinates by Fraction back-substitution against the HNF rows."""
+    residual = [F(x) for x in v]
+    coeffs = []
+    for row in lat.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        c = residual[p] / row[p]
+        if c.denominator != 1:
+            return None
+        coeffs.append(c.numerator)
+        residual = [a - c * b for a, b in zip(residual, row)]
+    return tuple(coeffs) if not any(residual) else None
+
+
+@st.composite
+def lattice_vectors(draw):
+    """A lattice and a vector inside it, shifted off it, or made non-integral."""
+    mat = draw(int_matrices())
+    lat = Lattice.from_rows(len(mat[0]), mat)
+    kind = draw(st.sampled_from(("inside", "shifted", "non-integral")))
+    coeffs = [draw(st.integers(-5, 5)) for _ in lat.basis]
+    v = [sum(c * row[j] for c, row in zip(coeffs, lat.basis)) for j in range(lat.ambient)]
+    j = draw(st.integers(0, lat.ambient - 1))
+    if kind == "shifted":
+        v[j] += draw(st.integers(1, 3))
+    elif kind == "non-integral":
+        v[j] += F(draw(st.integers(1, 6)), 7)
+    v = [F(x) if draw(st.booleans()) else x for x in v]
+    return lat, tuple(v), kind
+
+
+@given(lattice_vectors())
+@settings(deadline=None, max_examples=200)
+def test_lattice_coords_match_fraction_back_substitution(case):
+    lat, v, kind = case
+    ours = lat.coords_of(v)
+    assert ours == fraction_coords(lat, v)
+    if kind == "inside":
+        assert ours is not None
+        assert all(type(c) is int for c in ours)
+        assert [sum(c * row[j] for c, row in zip(ours, lat.basis))
+                for j in range(lat.ambient)] == list(v)
+    if kind == "non-integral":
+        assert ours is None
+
+
 def test_lattice_intersection_frozen():
     a = Lattice.from_rows(2, [[2, 0], [0, 3]])
     b = Lattice.from_rows(2, [[3, 0], [0, 2]])
