@@ -146,15 +146,28 @@ class StructureAlgebra:
         rows, den = self._int_mult_op(a, left=False)
         return MatQ(tuple(rational_row(r, den) for r in rows))
 
+    @cached_property
+    def _int_traces(self) -> tuple[int, ...]:
+        """Trace of each basis element's left operator, times the table's den."""
+        _, table = self._int_table
+        return tuple(
+            sum(c for m, prod in enumerate(row) for p, c in prod if p == m) for row in table
+        )
+
     def trace(self, a: Sequence) -> Fraction:
         """Trace of the left regular representation of a."""
-        total = Fraction(0)
-        for i, c in enumerate(a):
-            if c:
-                total += Fraction(c) * sum(
-                    (self.table[i][m][m] for m in range(self.dim)), Fraction(0)
-                )
-        return total
+        terms, a_den = self._int_terms(a)
+        traces = self._int_traces
+        return Fraction(sum(x * traces[i] for i, x in terms), self._int_table[0] * a_den)
+
+    def trace_form(self) -> MatQ:
+        """Gram matrix of the trace form: entry (i, j) is trace(b_i b_j)."""
+        den, table = self._int_table
+        traces = self._int_traces
+        return MatQ(tuple(
+            tuple(Fraction(sum(c * traces[m] for m, c in prod), den * den) for prod in row)
+            for row in table
+        ))
 
     def minimal_polynomial(self, a: Sequence) -> PolyQ:
         """Monic generator of {p : p(a) = 0}.
@@ -203,15 +216,27 @@ class StructureAlgebra:
 
 
 def _check_unit(alg: StructureAlgebra) -> None:
+    """Column i of both multiplication operators of the unit must be e_i."""
+    left, den = alg._int_mult_op(alg.unit, left=True)
+    right, _ = alg._int_mult_op(alg.unit, left=False)
     for i in range(alg.dim):
-        e = alg.basis_vec(i)
-        if alg.mul(alg.unit, e) != e or alg.mul(e, alg.unit) != e:
-            raise NoUnit(f"declared unit fails on basis element {alg.basis_labels[i]}")
+        for m in range(alg.dim):
+            want = den if m == i else 0
+            if left[m][i] != want or right[m][i] != want:
+                raise NoUnit(f"declared unit fails on basis element {alg.basis_labels[i]}")
 
 
 def _assoc_defect(alg: StructureAlgebra, i: int, j: int, k: int) -> bool:
-    left = alg.mul(alg.table[i][j], alg.basis_vec(k))
-    right = alg.mul(alg.basis_vec(i), alg.table[j][k])
+    """(e_i e_j) e_k != e_i (e_j e_k), compared in integers over the table's den^2."""
+    _, table = alg._int_table
+    left = [0] * alg.dim
+    for m, c in table[i][j]:
+        for p, t in table[m][k]:
+            left[p] += c * t
+    right = [0] * alg.dim
+    for m, c in table[j][k]:
+        for p, t in table[i][m]:
+            right[p] += c * t
     return left != right
 
 
@@ -359,15 +384,18 @@ def induced_algebra(
     pass their idempotent e.
     """
     k = basis_rows.nrows
-    if rank(basis_rows) != k:
-        raise DimensionMismatch("subalgebra basis rows are dependent")
     solver = RowSolver(basis_rows)
+    if solver.rank != k:
+        raise DimensionMismatch("subalgebra basis rows are dependent")
+    terms = [a._int_terms(r) for r in basis_rows.rows]
     products: list[list[Vec]] = []
     for i in range(k):
+        # column q of op is b_i * e_q, in integers over op_den
+        op, op_den = a._int_mult_op(basis_rows.rows[i], left=True)
         row_products = []
-        for j in range(k):
-            p = a.mul(basis_rows.rows[i], basis_rows.rows[j])
-            coords = solver.solve(p)
+        for j, (j_terms, j_den) in enumerate(terms):
+            acc = [sum(r[q] * y for q, y in j_terms) for r in op]
+            coords = solver.solve_ints(acc, op_den * j_den)
             if coords is None:
                 raise DimensionMismatch(
                     f"subspace not closed under multiplication at pair ({i},{j})"

@@ -554,7 +554,11 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
             for eps in status.idempotents:
                 e_mat = _coords_to_matrix(comp.to_parent(eps), comm_mats)
                 local = Subspace.from_rows(w.dim, e_mat.transpose().rows)
-                assert local.dim * n == w.dim, "idempotents cut equal-size blocks"
+                if local.dim * n != w.dim:
+                    raise CertificateFailure(
+                        {"block_dim": local.dim, "blocks": n, "part_dim": w.dim},
+                        "commutant idempotents cut blocks of unequal size",
+                    )
                 out.append(Subspace.from_rows(
                     w.ambient,
                     [row_times_mat(r, w.basis) for r in local.basis.rows],
@@ -613,12 +617,14 @@ def bimodule_ladder(
     )
     e = operator_algebra(tuple(left_action) + right_ops, module_dim=d)
     summands = _simple_summands(e, budget, seed)
-    assert sum(s.dim for s in summands) == d, "summands must fill the component"
+    if sum(s.dim for s in summands) != d:
+        raise CertificateFailure(message="simple summands do not fill the component")
     chain = [Subspace.zero(d)]
     for s in reversed(summands):
         chain.append(chain[-1].add(s))
     chain.reverse()
-    assert chain[0].dim == d
+    if chain[0].dim != d:
+        raise CertificateFailure(message="simple summands do not span the component")
     factors = []
     for j, carrier in enumerate(summands):
         left_restricted = tuple(restrict_op(m, carrier) for m in left_action)
@@ -627,7 +633,9 @@ def bimodule_ladder(
         simplicity = certify_simple_module(e, carrier, budget, seed=seed)
         if simplicity.kind == "unknown":
             raise UnresolvedSimplicity(budget, partial=tuple(factors))
-        assert simplicity.is_simple, "summand construction yields simple factors"
+        if not simplicity.is_simple:
+            raise CertificateFailure({"factor": j, "note": simplicity.note},
+                                     "a simple summand has a proper submodule")
         factors.append(LadderFactor(
             upper=chain[j],
             lower=chain[j + 1],

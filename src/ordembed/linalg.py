@@ -17,6 +17,9 @@ by cross-multiplication with content extraction, and divides by the pivot
 only when it builds the result. `MatQ.__mul__` clears one common
 denominator per operand, multiplies integers and skips zeros. Every entry
 these kernels return is a `Fraction`, so callers never see an `int`.
+`RowSolver` keeps the integer rows of one fraction-free elimination of
+[basis | I] over a common pivot and solves each vector in integers
+(`solve_ints` takes the vector as integers over a denominator).
 `Lattice.coords_of` back-substitutes in integers against the HNF rows; a
 vector with a non-integral entry is outside the lattice at once.
 """
@@ -114,17 +117,7 @@ class MatQ:
         a, a_den = clear_denominators(self.rows)
         b, b_den = clear_denominators(other.rows)
         den = a_den * b_den
-        width = other.ncols
-        out = []
-        for r in a:
-            acc = [0] * width
-            for x, brow in zip(r, b):
-                if x:
-                    for j, y in enumerate(brow):
-                        if y:
-                            acc[j] += x * y
-            out.append(rational_row(acc, den))
-        return MatQ(tuple(out))
+        return MatQ(tuple(rational_row(r, den) for r in int_matmul(a, b, other.ncols)))
 
     def scale(self, c) -> "MatQ":
         c = Fraction(c)
@@ -256,15 +249,27 @@ class RrefResult:
         return len(self.pivots)
 
 
-def rref(m: MatQ) -> RrefResult:
-    """Reduced row echelon form with pivot columns.
+def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """The integer product a @ b, b having `width` columns; zeros are skipped."""
+    out = []
+    for r in a:
+        acc = [0] * width
+        for x, brow in zip(r, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
-    Integer-first: the elimination works on primitive integer rows with
-    cross-multiplication and content extraction; each result entry is built
-    once as Fraction(x, pivot).
+
+def _int_rref(rows: list[list[int]], ncols: int) -> list[int]:
+    """Bring integer rows to reduced echelon form in place; return the pivot columns.
+
+    Fraction-free: a row is eliminated by cross-multiplication with the pivot
+    row and divided by its content. Row k of the result divided by its entry
+    in pivots[k] is row k of the RREF; rows past the rank are zero.
     """
-    rows = [_primitive_int_row(r) for r in m.rows]
-    ncols = m.ncols
     pivots: list[int] = []
     pr = 0
     for col in range(ncols):
@@ -281,6 +286,19 @@ def rref(m: MatQ) -> RrefResult:
         pr += 1
         if pr == len(rows):
             break
+    return pivots
+
+
+def rref(m: MatQ) -> RrefResult:
+    """Reduced row echelon form with pivot columns.
+
+    Integer-first: the elimination works on primitive integer rows with
+    cross-multiplication and content extraction; each result entry is built
+    once as Fraction(x, pivot).
+    """
+    rows = [_primitive_int_row(r) for r in m.rows]
+    ncols = m.ncols
+    pivots = _int_rref(rows, ncols)
     out_rows = []
     for k, col in enumerate(pivots):
         pv = rows[k][col]
@@ -326,42 +344,64 @@ def inverse(m: MatQ) -> MatQ:
 class RowSolver:
     """Factored row basis for solving x @ basis = v against many v.
 
-    Building the solver does the one rref of the augmented system; each
-    solve is then a single elimination pass.
+    Building the solver does the one fraction-free elimination of the
+    augmented system [basis | I] and keeps its integer rows, scaled to one
+    common pivot P. In the RREF, the row with pivot column c is that
+    integer row over P, and every other row is zero in column c; so the
+    solution read off the RREF is x = sum over pivots c < ncols of
+    v[c] * (identity part of row c), and v lies in the span exactly when
+    v == sum v[c] * (basis part of row c). `solve_ints` evaluates both sums
+    in integers. On dependent rows it returns the same particular solution
+    as the RREF: the rows with a pivot in the identity part stay unused.
     """
 
     def __init__(self, basis: MatQ):
-        self._nrows = basis.nrows
-        self._ncols = basis.ncols
-        if basis.nrows:
-            res = rref(mat_hstack(basis, MatQ.identity(basis.nrows)))
-            self._rows = res.matrix.rows
-            self._pivots = res.pivots
-        else:
-            self._rows = ()
-            self._pivots = ()
+        self._nrows = k = basis.nrows
+        n = basis.ncols
+        rows = []
+        for i, r in enumerate(basis.rows):
+            (ints,), den = clear_denominators((r,))
+            rows.append(_extract_content(ints + [den if j == i else 0 for j in range(k)]))
+        pivots = _int_rref(rows, n + k)
+        solving = [(col, rows[t]) for t, col in enumerate(pivots) if col < n]
+        self._den = lcm(*[row[col] for col, row in solving])
+        # (pivot column, basis-part entries, identity-part entries), nonzero entries only
+        self._rows: list[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = []
+        for col, row in solving:
+            f = self._den // row[col]
+            self._rows.append((
+                col,
+                [(j, f * x) for j, x in enumerate(row[:n]) if x],
+                [(j, f * x) for j, x in enumerate(row[n:]) if x],
+            ))
+
+    @property
+    def rank(self) -> int:
+        """The rank of the basis rows."""
+        return len(self._rows)
 
     def solve(self, v: Sequence) -> Vec | None:
+        """Coefficients x with x @ basis = v, or None if v is outside the span."""
+        (ints,), den = clear_denominators((v,))
+        return self.solve_ints(ints, den)
+
+    def solve_ints(self, v: Sequence[int], den: int = 1) -> Vec | None:
+        """`solve` for the vector v / den, with v integral."""
         if self._nrows == 0:
-            return () if is_zero_vec(v) else None
-        n = self._ncols
-        residual = list(vec(v))
-        coeffs = [Fraction(0)] * self._nrows
-        for k, col in enumerate(self._pivots):
-            if col >= n:
-                break
-            c = residual[col]
+            return () if not any(v) else None
+        p = self._den
+        residual = [p * x for x in v]
+        coeffs = [0] * self._nrows
+        for col, part, ident in self._rows:
+            c = v[col]
             if c:
-                row = self._rows[k]
-                for j in range(n):
-                    if row[j]:
-                        residual[j] -= c * row[j]
-                for j in range(self._nrows):
-                    if row[n + j]:
-                        coeffs[j] += c * row[n + j]
-        if not is_zero_vec(residual):
+                for j, x in part:
+                    residual[j] -= c * x
+                for j, x in ident:
+                    coeffs[j] += c * x
+        if any(residual):
             return None
-        return tuple(coeffs)
+        return rational_row(coeffs, den * p)
 
 
 def solve_row(basis: MatQ, v: Sequence) -> Vec | None:

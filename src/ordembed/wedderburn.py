@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -38,7 +38,9 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
+    _extract_content,
     clear_denominators,
+    int_matmul,
     left_kernel,
     mat_unvec,
     mat_vec_of,
@@ -60,10 +62,7 @@ def radical(a: StructureAlgebra) -> Subspace:
     n = a.dim
     if n == 0:
         return Subspace.zero(0)
-    gram = MatQ(tuple(
-        tuple(a.trace(a.table[i][j]) for j in range(n)) for i in range(n)
-    ))
-    return Subspace.from_rows(n, left_kernel(gram).rows)
+    return Subspace.from_rows(n, left_kernel(a.trace_form()).rows)
 
 
 def semisimple_quotient(a: StructureAlgebra, *, name: str | None = None) -> tuple[StructureAlgebra, MatQ]:
@@ -364,9 +363,11 @@ def _idempotent_from_left_ideal(b: StructureAlgebra, z: Vec) -> Vec:
     for i in range(k):
         want.extend(ideal_rows.rows[i])
     coeffs = solve_row(MatQ(tuple(system)), want)
-    assert coeffs is not None, "semisimple left ideal must have an idempotent generator"
+    if coeffs is None:
+        raise CertificateFailure(message="semisimple left ideal has no idempotent generator")
     e = row_times_mat(coeffs, ideal_rows)
-    assert b.mul(e, e) == e
+    if b.mul(e, e) != e:
+        raise CertificateFailure(message="left ideal generator does not square to itself")
     return e
 
 
@@ -558,40 +559,67 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
         d = module_dim
     if module_dim is not None and module_dim != d:
         raise DimensionMismatch("module_dim disagrees with generator size")
-    rows = [mat_vec_of(MatQ.identity(d))] + [mat_vec_of(g) for g in gens]
-    span = Subspace.from_rows(d * d, rows)
-    while True:
-        mats = [mat_unvec(r, d, d) for r in span.basis.rows]
-        new_rows = list(span.basis.rows)
-        for x in mats:
-            for y in mats:
-                new_rows.append(mat_vec_of(x * y))
-        bigger = Subspace.from_rows(d * d, new_rows)
-        if bigger.dim == span.dim:
-            break
-        span = bigger
+    int_gens = [clear_denominators(g.rows)[0] for g in gens]
+    echelon: list[tuple[list[int], int]] = []
+    for row in [_identity_vec(d)] + [[x for r in g for x in r] for g in int_gens]:
+        _echelon_insert(echelon, row)
+    # The span of all words in the generators is the smallest subspace that
+    # holds I and is closed under right multiplication by each generator, so
+    # each basis row is multiplied by each generator once, when it is added.
+    done = 0
+    while done < len(echelon):
+        x, _ = echelon[done]
+        done += 1
+        x_rows = [x[i * d:(i + 1) * d] for i in range(d)]
+        for g in int_gens:
+            _echelon_insert(echelon, [y for r in int_matmul(x_rows, g, d) for y in r])
+    span = Subspace.from_rows(d * d, [r for r, _ in echelon])
     return OperatorAlgebra(d, tuple(gens), span)
+
+
+def _identity_vec(d: int) -> list[int]:
+    return [1 if i == j else 0 for i in range(d) for j in range(d)]
+
+
+def _echelon_insert(echelon: list[tuple[list[int], int]], row: list[int]) -> None:
+    """Append row to an integer echelon, reduced against it, unless it lies in the span.
+
+    Each echelon row is zero in the pivot columns of the rows before it, so
+    one pass in insertion order clears every pivot column of the new row.
+    """
+    for e_row, p in echelon:
+        f = row[p]
+        if f:
+            pv = e_row[p]
+            row = _extract_content([pv * x - f * y for x, y in zip(row, e_row)])
+    g = gcd(*row)
+    if g:
+        echelon.append(([x // g for x in row], next(j for j, x in enumerate(row) if x)))
 
 
 def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAlgebra, tuple[MatQ, ...]]:
     """Structure algebra of an independent list of matrices closed under products.
 
-    The identity must lie in the span (it becomes the unit).
+    The identity must lie in the span (it becomes the unit). Each matrix is
+    cleared to integers over its denominator once; the k^2 products are
+    integer matrix products.
     """
     if not mats:
         raise DimensionMismatch("empty matrix basis")
     d = mats[0].nrows
     solver = RowSolver(MatQ(tuple(mat_vec_of(m) for m in mats)))
+    ints = [clear_denominators(m.rows) for m in mats]
     table = []
-    for x in mats:
+    for x, x_den in ints:
         row = []
-        for y in mats:
-            coords = solver.solve(mat_vec_of(x * y))
+        for y, y_den in ints:
+            prod = [t for r in int_matmul(x, y, d) for t in r]
+            coords = solver.solve_ints(prod, x_den * y_den)
             if coords is None:
                 raise DimensionMismatch("matrix list not closed under products")
             row.append(coords)
         table.append(tuple(row))
-    unit_coords = solver.solve(mat_vec_of(MatQ.identity(d)))
+    unit_coords = solver.solve_ints(_identity_vec(d))
     if unit_coords is None:
         raise DimensionMismatch("identity matrix outside the span")
     alg = StructureAlgebra(
@@ -687,7 +715,9 @@ def simple_commutant(
     """
     alg, mats = matrices_to_algebra(commutant_matrices(e), name=name)
     dec = decompose(alg, seed=seed)
-    assert len(dec.components) == 1, "commutant of an isotypic module is simple"
+    if len(dec.components) != 1:
+        raise CertificateFailure({"components": len(dec.components)},
+                                 "commutant of an isotypic module is not simple")
     return alg, resolve_split_status(dec.components[0], budget, seed=seed), mats
 
 
@@ -718,10 +748,13 @@ def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed
     for comp in dec.components:
         e_mat = _coords_to_matrix(comp.idempotent, mats)
         image = Subspace.from_rows(d, e_mat.transpose().rows)
-        assert image.dim > 0, "a nonzero idempotent matrix has nonzero image"
+        if image.dim == 0:
+            raise CertificateFailure(message="a nonzero idempotent matrix has zero image")
         parts.append(IsotypicPart(image, comp, image.dim))
         covered += image.dim
-    assert covered == d, "isotypic images must fill the module"
+    if covered != d:
+        raise CertificateFailure({"covered": covered, "module_dim": d},
+                                 "isotypic images do not fill the module")
     return tuple(parts)
 
 
@@ -790,7 +823,9 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
             for local_row in r_mat.transpose().rows:
                 witness_rows.append(row_times_mat(local_row, w.basis))
         witness = Subspace.from_rows(w.ambient, witness_rows)
-        assert 0 < witness.dim < w.dim
+        if not 0 < witness.dim < w.dim:
+            raise CertificateFailure({"witness_dim": witness.dim, "module_dim": w.dim},
+                                     "radical witness is not a proper nonzero submodule")
         return SimplicityResult(
             "not_simple",
             witness=witness,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordembed.algebra import (
     StructureAlgebra,
+    _check_associativity,
     algebra_to_doc,
     build_algebra,
     build_ideal,
@@ -408,8 +409,16 @@ def test_integer_products_match_the_fraction_definition(case):
         for j in range(n):
             assert left.rows[m][j] == sum((F(a[i]) * alg.table[i][j][m] for i in range(n)), F(0))
             assert right.rows[m][j] == sum((F(a[i]) * alg.table[j][i][m] for i in range(n)), F(0))
-    entries = list(prod) + [x for op in (left, right) for r in op.rows for x in r]
-    assert all(type(x) is F for x in entries)
+
+    def trace_by_definition(x):
+        return sum((F(x[i]) * alg.table[i][m][m] for i in range(n) for m in range(n)), F(0))
+
+    assert alg.trace(a) == trace_by_definition(a)
+    gram = alg.trace_form()
+    assert gram.rows == tuple(
+        tuple(trace_by_definition(alg.table[i][j]) for j in range(n)) for i in range(n))
+    entries = list(prod) + [x for op in (left, right, gram) for r in op.rows for x in r]
+    assert all(type(x) is F for x in entries + [alg.trace(a)])
 
 
 BLOCKS = (
@@ -494,3 +503,68 @@ def test_table_reads_make_no_products(monkeypatch):
         alg.minimal_polynomial(b)
     assert z.dim == 5
     assert calls == []
+
+
+nonzero_scales = st.one_of(
+    st.integers(1, 9),
+    st.integers(-9, -1),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6).filter(bool),
+)
+
+
+@given(scrambled_products(), st.lists(nonzero_scales, min_size=8, max_size=8),
+       st.integers(0, 10 ** 6), st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_induced_algebra_table_matches_the_fraction_definition(case, scales, seed, whole):
+    alg, _ = case
+    n = alg.dim
+    # the whole algebra on a scaled unimodular basis, or its centre on a scaled basis
+    rows = random_unimodular(n, random.Random(seed)).rows if whole else centre(alg).basis.rows
+    rows = MatQ(tuple(tuple(F(c) * x for x in r) for c, r in zip(scales, rows)))
+    sub = induced_algebra(alg, rows, name="sub")
+    k = rows.nrows
+
+    def combine(coords):
+        return tuple(sum((c * r[m] for c, r in zip(coords, rows.rows)), F(0)) for m in range(n))
+
+    for i in range(k):
+        for j in range(k):
+            assert combine(sub.table[i][j]) == product_by_definition(alg, rows.rows[i], rows.rows[j])
+            assert all(type(c) is F for c in sub.table[i][j])
+    assert combine(sub.unit) == alg.unit
+
+
+def first_failing_triple(alg):
+    """The first (i, j, k) in loop order with (e_i e_j) e_k != e_i (e_j e_k), by the definition."""
+    n = alg.dim
+    t = alg.table
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = [sum((t[i][j][m] * t[m][k][p] for m in range(n)), F(0)) for p in range(n)]
+                right = [sum((t[j][k][m] * t[i][m][p] for m in range(n)), F(0)) for p in range(n)]
+                if left != right:
+                    return i, j, k
+    return None
+
+
+@given(st.integers(0, len(BLOCKS) - 1), st.data())
+@settings(deadline=None, max_examples=60)
+def test_associativity_check_names_the_first_failing_triple(block, data):
+    alg = BLOCKS[block]()
+    n = alg.dim
+    table = [list(row) for row in alg.table]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j, m = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        prod = list(table[i][j])
+        prod[m] += F(data.draw(mixed_entries))
+        table[i][j] = tuple(prod)
+    corrupted = StructureAlgebra("X", alg.basis_labels, alg.unit,
+                                 tuple(tuple(row) for row in table))
+    expected = first_failing_triple(corrupted)
+    if expected is None:
+        assert _check_associativity(corrupted, True, 0)
+    else:
+        with pytest.raises(NotAssociative) as info:
+            _check_associativity(corrupted, True, 0)
+        assert info.value.triple == expected

@@ -281,6 +281,22 @@ def test_corrupted_idempotent_fails_its_certificate(monkeypatch):
     assert "idempotent" in error["message"]
 
 
+def test_missing_idempotent_generator_fails_its_certificate(monkeypatch):
+    # A left ideal whose idempotent system has no solution. The check is a
+    # raise, not an assert, so it holds under `python -O` too.
+    original = wedderburn.solve_row
+
+    def unsolvable(basis, v):
+        return None if basis.nrows > 1 else original(basis, v)
+
+    monkeypatch.setattr(wedderburn, "solve_row", unsolvable)
+    text, code = run_report("decompose", order_arg("m2z"))
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    assert "idempotent generator" in error["message"]
+
+
 def test_budget_exhaustion_exits_two(tmp_path):
     hidden = quaternion_algebra(1, 3)
     doc = {

@@ -12,7 +12,9 @@ from ordembed.errors import DimensionMismatch
 from ordembed.linalg import (
     Lattice,
     MatQ,
+    RowSolver,
     Subspace,
+    clear_denominators,
     hnf,
     int_kernel,
     inverse,
@@ -211,6 +213,94 @@ def test_solve_row_roundtrip(m, coeffs):
 def test_solve_row_outside_span():
     basis = MatQ.from_rows([[1, 0, 1], [0, 1, 1]])
     assert solve_row(basis, [1, 0, 0]) is None
+
+
+# Raw `int` and `Fraction` entries side by side, denominators up to 10^6.
+mixed_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+)
+
+
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan in Fraction arithmetic: the RREF rows and pivot columns."""
+    rows = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        pr = len(pivots)
+        piv = next((i for i in range(pr, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        rows[pr] = [x / rows[pr][col] for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def reference_solve(basis, v):
+    """x @ basis = v read off the Fraction RREF of [basis | I], or None."""
+    k, n = len(basis), len(v)
+    aug = [list(r) + [1 if j == i else 0 for j in range(k)] for i, r in enumerate(basis)]
+    rows, pivots = fraction_rref(aug, n + k)
+    residual = [F(x) for x in v]
+    coeffs = [F(0)] * k
+    for t, col in enumerate(pivots):
+        if col >= n:
+            break
+        c = residual[col]
+        residual = [a - c * b for a, b in zip(residual, rows[t][:n])]
+        coeffs = [a + c * b for a, b in zip(coeffs, rows[t][n:])]
+    return None if any(residual) else tuple(coeffs)
+
+
+@st.composite
+def solver_cases(draw):
+    """A basis, independent or with dependent rows mixed in, and a member or a random vector."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(mixed_entries) for _ in range(n)] for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        cs = [draw(mixed_entries) for _ in rows]
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [sum((F(c) * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)])
+    if draw(st.booleans()):
+        cs = [draw(mixed_entries) for _ in rows]
+        v = [sum((F(c) * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)]
+    else:
+        v = [draw(mixed_entries) for _ in range(n)]
+    return rows, v
+
+
+@given(solver_cases())
+@settings(deadline=None, max_examples=200)
+def test_row_solver_matches_fraction_rref_reference(case):
+    rows, v = case
+    expected = reference_solve(rows, v)
+    solver = RowSolver(MatQ.from_rows(rows))
+    got = solver.solve(v)
+    assert got == expected
+    (ints,), den = clear_denominators((v,))
+    assert solver.solve_ints(ints, den) == expected
+    if got is not None:
+        assert all(type(x) is F for x in got)
+        assert row_times_mat(got, MatQ.from_rows(rows)) == tuple(F(x) for x in v)
+    assert solver.rank == rank(MatQ.from_rows(rows))
+
+
+def test_row_solver_particular_solution_on_dependent_rows():
+    # rows 0 and 2 are equal; the RREF of [B | I] has the pivot rows
+    # [1, 0 | 0, -2, 1] and [0, 1 | 0, 1, 0], so the weight goes on row 2
+    basis = MatQ.from_rows([[1, 2], [0, 1], [1, 2]])
+    solver = RowSolver(basis)
+    assert solver.rank == 2
+    assert solver.solve([3, 7]) == (F(0), F(1), F(3))
+    assert solver.solve_ints([3, 7], 2) == (F(0), F(1, 2), F(3, 2))
+    assert solver.solve([1, 0]) == (F(0), F(-2), F(1))
+    assert RowSolver(MatQ.from_rows([[1, 1, 0], [2, 2, 0]])).solve([0, 0, 1]) is None
 
 
 def test_shape_errors():

@@ -1,5 +1,7 @@
 """Radical, decomposition, split resolution, and module certification."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordembed.algebra import quotient_algebra_by_subspace, subspace_product
+from ordembed.algebra import (
+    StructureAlgebra,
+    build_algebra,
+    induced_algebra,
+    quotient_algebra_by_subspace,
+    subspace_product,
+)
+from ordembed.cli import CORPUS_DIR
+from ordembed.embeddings import _project_rows, load_embedding
 from ordembed.errors import (
     DimensionMismatch,
     NotInvariant,
@@ -20,6 +30,7 @@ from ordembed.linalg import (
     kron,
     left_kernel,
     mat_hstack,
+    mat_unvec,
     mat_vec_of,
     op_apply,
     unit_vec,
@@ -42,6 +53,7 @@ from ordembed.wedderburn import (
     commutant_matrices,
     decompose,
     isotypic_split,
+    matrices_to_algebra,
     operator_algebra,
     radical,
     resolve_all,
@@ -474,3 +486,141 @@ def test_certify_split_quaternion_regular_module_is_not_simple():
     for g in e.generators:
         for row in w.basis.rows:
             assert w.contains_vec(op_apply(g, row))
+
+
+# -- the integer operator layer against its definitions -------------------------------
+
+# Raw `int` and `Fraction` entries side by side, denominators up to 10^6.
+wide_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+)
+
+
+@st.composite
+def wide_generator_sets(draw):
+    """0-3 generators of size d <= 3 with mixed entries; some are sparse or scalar."""
+    d = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            c = draw(wide_entries)
+            gens.append(MatQ(tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d))))
+        else:
+            gens.append(MatQ(tuple(
+                tuple(draw(wide_entries) if kind > 1 or i <= j else 0 for j in range(d))
+                for i in range(d)
+            )))
+    return d, gens
+
+
+def pairwise_closure(gens, d):
+    """The unital closure by every pairwise product each round, until the span stops growing."""
+    span = Subspace.from_rows(d * d, [mat_vec_of(MatQ.identity(d))]
+                              + [mat_vec_of(g) for g in gens])
+    while True:
+        mats = [mat_unvec(r, d, d) for r in span.basis.rows]
+        bigger = Subspace.from_rows(
+            d * d, list(span.basis.rows) + [mat_vec_of(x * y) for x in mats for y in mats])
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
+def sympy_closure_rref(gens, d):
+    """The same closure in sympy: the RREF rows of the span of all words."""
+    def rat(x):
+        return sympy.Rational(F(x).numerator, F(x).denominator)
+
+    basis = [sympy.eye(d)] + [sympy.Matrix(d, d, lambda i, j: rat(g.rows[i][j])) for g in gens]
+    while True:
+        products = [x * y for x in basis for y in basis]
+        stacked = sympy.Matrix([list(m.reshape(1, d * d)) for m in basis + products])
+        reduced, pivots = stacked.rref()
+        if len(pivots) == len(basis):
+            return [[F(int(x.p), int(x.q)) for x in reduced.row(k)] for k in range(len(pivots))]
+        basis = [reduced.row(k).reshape(d, d) for k in range(len(pivots))]
+
+
+def entrywise_product(x, y):
+    n = len(y.rows[0])
+    return tuple(
+        tuple(sum((F(a) * F(row_b[j]) for a, row_b in zip(row_a, y.rows)), F(0)) for j in range(n))
+        for row_a in x.rows
+    )
+
+
+@given(wide_generator_sets())
+@settings(deadline=None, max_examples=80)
+def test_semi_naive_closure_matches_pairwise_closure_and_sympy(case):
+    d, gens = case
+    e = operator_algebra(gens, module_dim=d)
+    assert e.spanned == pairwise_closure(gens, d)
+    assert [list(r) for r in e.spanned.basis.rows] == sympy_closure_rref(gens, d)
+    assert all(type(x) is F for r in e.spanned.basis.rows for x in r)
+
+
+nonzero_scales = st.one_of(
+    st.integers(1, 9),
+    st.integers(-9, -1),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6).filter(bool),
+)
+
+
+@given(wide_generator_sets(), st.lists(nonzero_scales, min_size=9, max_size=9))
+@settings(deadline=None, max_examples=80)
+def test_matrices_to_algebra_table_matches_entrywise_products(case, scales):
+    d, gens = case
+    # a scaled basis of the closure: independent, closed, not in RREF
+    mats = [m.scale(c) for m, c in zip(operator_algebra(gens, module_dim=d).basis_matrices(),
+                                       scales)]
+    alg, returned = matrices_to_algebra(mats, name="M")
+    assert returned == tuple(mats)
+
+    def combine(coords):
+        return tuple(
+            tuple(sum((c * m.rows[i][j] for c, m in zip(coords, mats)), F(0)) for j in range(d))
+            for i in range(d)
+        )
+
+    for i, x in enumerate(mats):
+        for j, y in enumerate(mats):
+            assert combine(alg.table[i][j]) == entrywise_product(x, y)
+            assert all(type(c) is F for c in alg.table[i][j])
+    assert combine(alg.unit) == MatQ.identity(d).rows
+
+
+def test_operator_layer_makes_no_products(monkeypatch):
+    """On a corpus embedding, the operator layer and algebra validation read integers only."""
+    def load(name):
+        return json.loads((CORPUS_DIR / f"{name}.json").read_text())
+
+    f = load_embedding(load("demo-split"), resolver=load)
+    parent = f.codomain.parent
+    comp = f.codomain.components[0]
+    block = comp.algebra
+    left = tuple(block.left_mult_op(r) for r in
+                 _project_rows(f.codomain, f.map.rows, (0,)).rows)
+    right = tuple(block.right_mult_op(block.basis_vec(k)) for k in range(block.dim))
+    commuting = commutant_matrices(operator_algebra(left + right, module_dim=block.dim))
+    counts = Counter()
+    for owner, attr, key in ((MatQ, "__mul__", "MatQ.__mul__"),
+                             (StructureAlgebra, "mul", "StructureAlgebra.mul")):
+        def counting(*args, _orig=getattr(owner, attr), _key=key):
+            counts[_key] += 1
+            return _orig(*args)
+        monkeypatch.setattr(owner, attr, counting)
+
+    rebuilt = build_algebra(parent.name, parent.basis_labels, parent.unit, parent.table,
+                            full_assoc_check=True)
+    sub = induced_algebra(parent, comp.block_rows, name="blk", unit_hint=comp.idempotent)
+    unhinted = induced_algebra(parent, comp.block_rows, name="blk")
+    e = operator_algebra(left + right, module_dim=block.dim)
+    spanned, _ = matrices_to_algebra(e.basis_matrices(), name="E")
+    end, _ = matrices_to_algebra(commuting, name="End")
+    assert counts == Counter()
+    assert rebuilt.table == parent.table and sub.dim == unhinted.dim == block.dim == 4
+    assert sub.unit == unhinted.unit
+    assert (e.dim, spanned.dim, end.dim) == (4, 4, 4)
