@@ -289,6 +289,29 @@ def _int_rref(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def echelon_insert(echelon: list[tuple[list[int], int]], row: list[int]) -> None:
+    """Append row to an integer echelon, reduced against it, unless it lies in the span.
+
+    The echelon is a list of (primitive integer row, pivot column) pairs,
+    grown one row at a time. Each echelon row is zero in the pivot columns
+    of the rows before it, so one pass in insertion order clears every pivot
+    column of the new row; the step is the cross-multiplication of `_int_rref`.
+    """
+    for e_row, p in echelon:
+        f = row[p]
+        if f:
+            pv = e_row[p]
+            row = _extract_content([pv * x - f * y for x, y in zip(row, e_row)])
+    g = gcd(*row)
+    if g:
+        echelon.append(([x // g for x in row], next(j for j, x in enumerate(row) if x)))
+
+
+def int_identity_vec(d: int) -> list[int]:
+    """The d x d identity matrix as an integer row of length d^2."""
+    return [1 if i == j else 0 for i in range(d) for j in range(d)]
+
+
 def rref(m: MatQ) -> RrefResult:
     """Reduced row echelon form with pivot columns.
 

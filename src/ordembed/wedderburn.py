@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -38,8 +38,9 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
-    _extract_content,
     clear_denominators,
+    echelon_insert,
+    int_identity_vec,
     int_matmul,
     left_kernel,
     mat_unvec,
@@ -561,8 +562,8 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
         raise DimensionMismatch("module_dim disagrees with generator size")
     int_gens = [clear_denominators(g.rows)[0] for g in gens]
     echelon: list[tuple[list[int], int]] = []
-    for row in [_identity_vec(d)] + [[x for r in g for x in r] for g in int_gens]:
-        _echelon_insert(echelon, row)
+    for row in [int_identity_vec(d)] + [[x for r in g for x in r] for g in int_gens]:
+        echelon_insert(echelon, row)
     # The span of all words in the generators is the smallest subspace that
     # holds I and is closed under right multiplication by each generator, so
     # each basis row is multiplied by each generator once, when it is added.
@@ -572,29 +573,9 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
         done += 1
         x_rows = [x[i * d:(i + 1) * d] for i in range(d)]
         for g in int_gens:
-            _echelon_insert(echelon, [y for r in int_matmul(x_rows, g, d) for y in r])
+            echelon_insert(echelon, [y for r in int_matmul(x_rows, g, d) for y in r])
     span = Subspace.from_rows(d * d, [r for r, _ in echelon])
     return OperatorAlgebra(d, tuple(gens), span)
-
-
-def _identity_vec(d: int) -> list[int]:
-    return [1 if i == j else 0 for i in range(d) for j in range(d)]
-
-
-def _echelon_insert(echelon: list[tuple[list[int], int]], row: list[int]) -> None:
-    """Append row to an integer echelon, reduced against it, unless it lies in the span.
-
-    Each echelon row is zero in the pivot columns of the rows before it, so
-    one pass in insertion order clears every pivot column of the new row.
-    """
-    for e_row, p in echelon:
-        f = row[p]
-        if f:
-            pv = e_row[p]
-            row = _extract_content([pv * x - f * y for x, y in zip(row, e_row)])
-    g = gcd(*row)
-    if g:
-        echelon.append(([x // g for x in row], next(j for j, x in enumerate(row) if x)))
 
 
 def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAlgebra, tuple[MatQ, ...]]:
@@ -619,7 +600,7 @@ def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAl
                 raise DimensionMismatch("matrix list not closed under products")
             row.append(coords)
         table.append(tuple(row))
-    unit_coords = solver.solve_ints(_identity_vec(d))
+    unit_coords = solver.solve_ints(int_identity_vec(d))
     if unit_coords is None:
         raise DimensionMismatch("identity matrix outside the span")
     alg = StructureAlgebra(

@@ -51,6 +51,8 @@ from ordembed.samples import (
     upper_triangular_algebra,
 )
 
+from strategies import nonzero_scales, wide_entries
+
 F = Fraction
 
 
@@ -364,14 +366,6 @@ def test_sampled_associativity_flag():
 
 # -- the integer table against the entrywise definition ------------------------------
 
-# Raw `int` and `Fraction` entries side by side, denominators up to 10^6.
-mixed_entries = st.one_of(
-    st.just(0),
-    st.integers(-9, 9),
-    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
-)
-
-
 @st.composite
 def tables_and_elements(draw):
     """An unchecked table with zero products, and three elements on it."""
@@ -380,12 +374,12 @@ def tables_and_elements(draw):
     def product():
         if draw(st.integers(0, 2)) == 0:
             return (F(0),) * n
-        return tuple(F(draw(mixed_entries)) for _ in range(n))
+        return tuple(F(draw(wide_entries)) for _ in range(n))
 
     table = tuple(tuple(product() for _ in range(n)) for _ in range(n))
     alg = StructureAlgebra("T", tuple(f"b{i}" for i in range(n)), (F(1),) + (F(0),) * (n - 1),
                            table)
-    u, v, a = (tuple(draw(mixed_entries) for _ in range(n)) for _ in range(3))
+    u, v, a = (tuple(draw(wide_entries) for _ in range(n)) for _ in range(3))
     return alg, u, v, a
 
 
@@ -505,13 +499,6 @@ def test_table_reads_make_no_products(monkeypatch):
     assert calls == []
 
 
-nonzero_scales = st.one_of(
-    st.integers(1, 9),
-    st.integers(-9, -1),
-    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6).filter(bool),
-)
-
-
 @given(scrambled_products(), st.lists(nonzero_scales, min_size=8, max_size=8),
        st.integers(0, 10 ** 6), st.booleans())
 @settings(deadline=None, max_examples=40)
@@ -557,7 +544,7 @@ def test_associativity_check_names_the_first_failing_triple(block, data):
     for _ in range(data.draw(st.integers(1, 2))):
         i, j, m = (data.draw(st.integers(0, n - 1)) for _ in range(3))
         prod = list(table[i][j])
-        prod[m] += F(data.draw(mixed_entries))
+        prod[m] += F(data.draw(wide_entries))
         table[i][j] = tuple(prod)
     corrupted = StructureAlgebra("X", alg.basis_labels, alg.unit,
                                  tuple(tuple(row) for row in table))

@@ -215,14 +215,6 @@ def test_solve_row_outside_span():
     assert solve_row(basis, [1, 0, 0]) is None
 
 
-# Raw `int` and `Fraction` entries side by side, denominators up to 10^6.
-mixed_entries = st.one_of(
-    st.just(0),
-    st.integers(-9, 9),
-    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
-)
-
-
 def fraction_rref(rows, ncols):
     """Gauss-Jordan in Fraction arithmetic: the RREF rows and pivot columns."""
     rows = [[F(x) for x in r] for r in rows]

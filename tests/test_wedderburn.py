@@ -62,6 +62,8 @@ from ordembed.wedderburn import (
     semisimple_quotient,
 )
 
+from strategies import nonzero_scales, wide_entries
+
 F = Fraction
 
 
@@ -490,14 +492,6 @@ def test_certify_split_quaternion_regular_module_is_not_simple():
 
 # -- the integer operator layer against its definitions -------------------------------
 
-# Raw `int` and `Fraction` entries side by side, denominators up to 10^6.
-wide_entries = st.one_of(
-    st.just(0),
-    st.integers(-9, 9),
-    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
-)
-
-
 @st.composite
 def wide_generator_sets(draw):
     """0-3 generators of size d <= 3 with mixed entries; some are sparse or scalar."""
@@ -560,13 +554,6 @@ def test_semi_naive_closure_matches_pairwise_closure_and_sympy(case):
     assert e.spanned == pairwise_closure(gens, d)
     assert [list(r) for r in e.spanned.basis.rows] == sympy_closure_rref(gens, d)
     assert all(type(x) is F for r in e.spanned.basis.rows for x in r)
-
-
-nonzero_scales = st.one_of(
-    st.integers(1, 9),
-    st.integers(-9, -1),
-    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6).filter(bool),
-)
 
 
 @given(wide_generator_sets(), st.lists(nonzero_scales, min_size=9, max_size=9))
