@@ -34,11 +34,12 @@ from .linalg import (
     Subspace,
     Vec,
     clear_denominators,
+    echelon_closure,
+    echelon_insert,
     inverse,
     is_zero_vec,
     kernel,
     lattice_intersect_subspace,
-    left_kernel,
     rank,
     rational_row,
     row_times_mat,
@@ -172,41 +173,31 @@ class StructureAlgebra:
     def minimal_polynomial(self, a: Sequence) -> PolyQ:
         """Monic generator of {p : p(a) = 0}.
 
-        The powers a^k are integer rows over their own denominators. One
-        echelon form grows power by power; each echelon row carries the
-        combination of powers it equals, so the first power that reduces
-        to zero yields the relation.
+        The power a^k is an integer row over its own denominator. The rows
+        [a^k | e_k], whose second part has room for the dim + 1 powers that
+        must be dependent, go through one integer echelon; a row whose pivot
+        lands in that second part is a relation among the powers.
         """
+        n = self.dim
         op, op_den = self._int_mult_op(a, left=False)
         (power,), scale = clear_denominators((self.unit,))
         scales = [scale]
-        echelon: list[tuple[list[int], list[int], int]] = []
-        if any(power):
-            echelon.append((power, [1], next(j for j, x in enumerate(power) if x)))
+        echelon: list[tuple[list[int], int]] = []
         while True:
+            k = len(scales) - 1
+            echelon_insert(echelon, power + [1 if t == k else 0 for t in range(n + 1)])
+            row, pivot = echelon[-1]
+            if pivot >= n:
+                # sum_t comb[t] * scales[t] * a^t == 0, and comb[k] != 0
+                comb = row[n:]
+                lead = comb[k] * scales[k]
+                return PolyQ.make([Fraction(c * s, lead) for c, s in zip(comb, scales)])
             power = [sum(x * y for x, y in zip(r, power) if x) for r in op]
             scale *= op_den
             g = gcd(*power, scale)
             power = [x // g for x in power]
             scale //= g
-            k = len(scales)
             scales.append(scale)
-            row, comb = power, [0] * k + [1]
-            for e_row, e_comb, p in echelon:
-                f = row[p]
-                if f:
-                    pv = e_row[p]
-                    row = [pv * x - f * y for x, y in zip(row, e_row)]
-                    comb = ([pv * x - f * y for x, y in zip(comb, e_comb)]
-                            + [pv * x for x in comb[len(e_comb):]])
-                    g = gcd(*row, *comb)
-                    row = [x // g for x in row]
-                    comb = [x // g for x in comb]
-            if not any(row):
-                # sum_t comb[t] * scales[t] * a^t == 0, and comb[k] != 0
-                lead = comb[k] * scales[k]
-                return PolyQ.make([Fraction(c * s, lead) for c, s in zip(comb, scales)])
-            echelon.append((row, comb, next(j for j, x in enumerate(row) if x)))
 
     def is_commutative(self) -> bool:
         n = self.dim
@@ -499,37 +490,22 @@ def centre(a: StructureAlgebra) -> Subspace:
 
 def left_annihilator(a: StructureAlgebra, s: Subspace) -> Subspace:
     """{x : x * v = 0 for all v in s}."""
-    if s.ambient != a.dim:
-        raise DimensionMismatch("subspace ambient vs algebra dim")
-    if s.dim == 0:
-        return Subspace.full(a.dim)
-    conditions = []
-    for v in s.basis.rows:
-        # row i of n_v is e_i * v; x * v = x @ n_v
-        n_v = MatQ(tuple(a.mul(a.basis_vec(i), v) for i in range(a.dim)))
-        conditions.append(n_v)
-    stacked = MatQ(tuple(
-        tuple(x for m in conditions for x in m.rows[i])
-        for i in range(a.dim)
-    ))
-    return Subspace.from_rows(a.dim, left_kernel(stacked).rows)
+    return _annihilator(a, s, left=True)
 
 
 def right_annihilator(a: StructureAlgebra, s: Subspace) -> Subspace:
     """{x : v * x = 0 for all v in s}."""
+    return _annihilator(a, s, left=False)
+
+
+def _annihilator(a: StructureAlgebra, s: Subspace, *, left: bool) -> Subspace:
+    """The kernel of the stacked integer operators x -> x*v (left) or x -> v*x, v in s."""
     if s.ambient != a.dim:
         raise DimensionMismatch("subspace ambient vs algebra dim")
     if s.dim == 0:
         return Subspace.full(a.dim)
-    conditions = []
-    for v in s.basis.rows:
-        n_v = MatQ(tuple(a.mul(v, a.basis_vec(i)) for i in range(a.dim)))
-        conditions.append(n_v)
-    stacked = MatQ(tuple(
-        tuple(x for m in conditions for x in m.rows[i])
-        for i in range(a.dim)
-    ))
-    return Subspace.from_rows(a.dim, left_kernel(stacked).rows)
+    rows = [r for v in s.basis.rows for r in a._int_mult_op(v, left=not left)[0]]
+    return Subspace.from_rows(a.dim, kernel(MatQ(tuple(map(tuple, rows)))).rows)
 
 
 def subspace_product(a: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -543,19 +519,24 @@ def subspace_product(a: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
 
 def two_sided_ideal_subspace(a: StructureAlgebra, gens: Iterable[Sequence]) -> Subspace:
     """Smallest two-sided ideal subspace of the Q-algebra containing gens."""
-    current = Subspace.from_rows(a.dim, [vec(g) for g in gens])
-    while True:
-        rows = list(current.basis.rows)
-        new_rows = list(rows)
-        for g in rows:
-            for i in range(a.dim):
-                e = a.basis_vec(i)
-                new_rows.append(a.mul(e, g))
-                new_rows.append(a.mul(g, e))
-        bigger = Subspace.from_rows(a.dim, new_rows)
-        if bigger.dim == current.dim:
-            return current
-        current = bigger
+    n = a.dim
+    _, table = a._int_table
+
+    def products(x: list[int]) -> Iterable[list[int]]:
+        """e_i * x and x * e_i for each basis element e_i, in integers."""
+        terms = [(j, c) for j, c in enumerate(x) if c]
+        for i in range(n):
+            left, right = [0] * n, [0] * n
+            for j, c in terms:
+                for m, t in table[i][j]:
+                    left[m] += c * t
+                for m, t in table[j][i]:
+                    right[m] += c * t
+            yield left
+            yield right
+
+    seeds, _ = clear_denominators([vec(g) for g in gens])
+    return Subspace.from_rows(n, echelon_closure(seeds, products))
 
 
 # -- orders and lattice ideals -----------------------------------------------------

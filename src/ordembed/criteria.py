@@ -65,15 +65,6 @@ __all__ = [
 ]
 
 
-# -- subalgebras carved out of the rational span -----------------------------------
-
-
-def _slice_rows(alg: StructureAlgebra, e: Vec) -> MatQ:
-    """Basis rows of e*A for a central idempotent e."""
-    op = alg.left_mult_op(e)
-    return Subspace.from_rows(alg.dim, op.transpose().rows).basis
-
-
 # -- centre data --------------------------------------------------------------------
 
 
@@ -269,7 +260,7 @@ def _build_slices(
 ) -> tuple[SliceData, ...]:
     slices = []
     for i, e in enumerate(centre_data.idempotents):
-        rows = _slice_rows(alg, e)
+        rows = Subspace.image(alg.left_mult_op(e)).basis  # e*A
         sl = induced_algebra(
             alg, rows, name=f"{alg.name}@q{i}", unit_hint=e,
             labels=[f"s{k}" for k in range(rows.nrows)],

@@ -61,12 +61,12 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
-    _primitive_int_row,
     inverse,
     lattice_intersect_subspace,
     left_kernel,
     mat_vec_of,
     op_apply,
+    primitive_int_row,
     rank,
     row_times_mat,
     vec,
@@ -269,18 +269,10 @@ def embedding_to_doc(
 # -- minimal primes -----------------------------------------------------------------
 
 
-def _primitive_integer(row: Sequence) -> tuple[int, ...]:
-    """The primitive integer multiple of a rational row whose first nonzero entry is positive."""
-    ints = _primitive_int_row(row)
-    if next((x for x in ints if x), 0) < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def _nilpotent_witness(order: OrderRing, exc: NotSemisimple) -> tuple[int, ...]:
     rad = exc.radical
     assert rad is not None and rad.dim > 0
-    witness = _primitive_integer(rad.basis.rows[0])
+    witness = primitive_int_row(rad.basis.rows[0])
     alg = order.coord_algebra
     power = vec(witness)
     for _ in range(alg.dim):
@@ -552,17 +544,13 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
         if status.kind == "split" and status.idempotents:
             n = len(status.idempotents)
             for eps in status.idempotents:
-                e_mat = _coords_to_matrix(comp.to_parent(eps), comm_mats)
-                local = Subspace.from_rows(w.dim, e_mat.transpose().rows)
+                local = Subspace.image(_coords_to_matrix(comp.to_parent(eps), comm_mats))
                 if local.dim * n != w.dim:
                     raise CertificateFailure(
                         {"block_dim": local.dim, "blocks": n, "part_dim": w.dim},
                         "commutant idempotents cut blocks of unequal size",
                     )
-                out.append(Subspace.from_rows(
-                    w.ambient,
-                    [row_times_mat(r, w.basis) for r in local.basis.rows],
-                ))
+                out.append(w.lift(local))
             continue
         raise UnresolvedSimplicity(
             budget,
@@ -1321,7 +1309,7 @@ def reduce_semiprimary(
     reduced_rows = MatQ(tuple(rad.reduce_vec(m.row(t)) for t in range(order.rank)))
     meets = left_kernel(reduced_rows)
     if meets.nrows:
-        raise DomainNotSemiprime(witness=_primitive_integer(meets.rows[0]))
+        raise DomainNotSemiprime(witness=primitive_int_row(meets.rows[0]))
     quotient, projection = semisimple_quotient(target)
     new_map = MatQ(tuple(
         row_times_mat(m.row(t), projection) for t in range(order.rank)

@@ -11,17 +11,23 @@ Conventions used across the workbench:
   so composition is matrix multiplication in application order.
 
 The exact kernels work in integers between a rational entry and a rational
-exit. `rref` reads each row as a primitive integer vector straight from the
-numerators and denominators (an `int` entry is taken as it is), eliminates
-by cross-multiplication with content extraction, and divides by the pivot
-only when it builds the result. `MatQ.__mul__` clears one common
-denominator per operand, multiplies integers and skips zeros. Every entry
-these kernels return is a `Fraction`, so callers never see an `int`.
-`RowSolver` keeps the integer rows of one fraction-free elimination of
-[basis | I] over a common pivot and solves each vector in integers
-(`solve_ints` takes the vector as integers over a denominator).
-`Lattice.coords_of` back-substitutes in integers against the HNF rows; a
-vector with a non-integral entry is outside the lattice at once.
+exit, and every elimination is one fraction-free step (`_eliminate`):
+cross-multiplication with the pivot row, then division by the content.
+`rref` reads each row as a primitive integer vector straight from the
+numerators and denominators (an `int` entry is taken as it is) and divides
+by the pivot only when it builds the result. `MatQ.__mul__` clears one
+common denominator per operand, multiplies integers and skips zeros. Every
+entry these kernels return is a `Fraction`, so callers never see an `int`.
+`RowSolver` keeps the integer rows of one elimination of [basis | I] over a
+common pivot and solves each vector in integers (`solve_ints` takes the
+vector as integers over a denominator). `echelon_insert` grows an integer
+echelon one row at a time, and `echelon_closure` closes a span under linear
+maps through it; the algebra layer builds operator algebras, two-sided
+ideals and minimal polynomials on these two. Spans read off an operator go
+through `Subspace.image`. `Lattice.coords_of` back-substitutes in integers
+against the HNF rows; a vector with a non-integral entry is outside the
+lattice at once, and `lattice_intersect_subspace` clears the normals once
+and intersects in integers.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch
 
@@ -219,13 +225,18 @@ def rational_row(ints: Sequence[int], den: int) -> Vec:
     return tuple(Fraction(t, den) if t else _ZERO for t in ints)
 
 
-def _primitive_int_row(row: Sequence) -> list[int]:
-    """The row scaled to a primitive integer vector (int or Fraction entries)."""
+def primitive_int_row(row: Sequence) -> IntVec:
+    """The primitive integer multiple of a row whose first nonzero entry is positive.
+
+    Entries may be `int` or `Fraction`.
+    """
     (ints,), _ = clear_denominators((row,))
     g = gcd(*ints)
-    if g > 1:
+    if next((c for c in ints if c), 0) < 0:
+        g = -g
+    if g not in (0, 1):
         ints = [c // g for c in ints]
-    return ints
+    return tuple(ints)
 
 
 def _extract_content(row: list[int]) -> list[int]:
@@ -263,6 +274,12 @@ def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: in
     return out
 
 
+def _eliminate(row: Sequence[int], pivot_row: Sequence[int], col: int) -> list[int]:
+    """Clear row's entry in col by cross-multiplication with pivot_row; divide out the content."""
+    pv, f = pivot_row[col], row[col]
+    return _extract_content([pv * x - f * y for x, y in zip(row, pivot_row)])
+
+
 def _int_rref(rows: list[list[int]], ncols: int) -> list[int]:
     """Bring integer rows to reduced echelon form in place; return the pivot columns.
 
@@ -277,11 +294,9 @@ def _int_rref(rows: list[list[int]], ncols: int) -> list[int]:
         if piv is None:
             continue
         rows[pr], rows[piv] = rows[piv], rows[pr]
-        pv = rows[pr][col]
         for i in range(len(rows)):
             if i != pr and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = _extract_content([pv * a - f * b for a, b in zip(rows[i], rows[pr])])
+                rows[i] = _eliminate(rows[i], rows[pr], col)
         pivots.append(col)
         pr += 1
         if pr == len(rows):
@@ -295,16 +310,35 @@ def echelon_insert(echelon: list[tuple[list[int], int]], row: list[int]) -> None
     The echelon is a list of (primitive integer row, pivot column) pairs,
     grown one row at a time. Each echelon row is zero in the pivot columns
     of the rows before it, so one pass in insertion order clears every pivot
-    column of the new row; the step is the cross-multiplication of `_int_rref`.
+    column of the new row by the elimination step of `_int_rref`.
     """
     for e_row, p in echelon:
-        f = row[p]
-        if f:
-            pv = e_row[p]
-            row = _extract_content([pv * x - f * y for x, y in zip(row, e_row)])
+        if row[p]:
+            row = _eliminate(row, e_row, p)
     g = gcd(*row)
     if g:
         echelon.append(([x // g for x in row], next(j for j, x in enumerate(row) if x)))
+
+
+def echelon_closure(
+    seeds: Iterable[list[int]], images: Callable[[list[int]], Iterable[list[int]]]
+) -> list[list[int]]:
+    """Integer rows spanning the smallest subspace that holds the seeds and is closed under a map.
+
+    `images(x)` lists the images of x under linear maps (each up to a
+    nonzero scale). A subspace is closed under the maps when the images of
+    a basis lie in it, so each echelon row is mapped once, when it is added.
+    """
+    echelon: list[tuple[list[int], int]] = []
+    for row in seeds:
+        echelon_insert(echelon, row)
+    done = 0
+    while done < len(echelon):
+        x, _ = echelon[done]
+        done += 1
+        for y in images(x):
+            echelon_insert(echelon, y)
+    return [r for r, _ in echelon]
 
 
 def int_identity_vec(d: int) -> list[int]:
@@ -319,7 +353,7 @@ def rref(m: MatQ) -> RrefResult:
     cross-multiplication and content extraction; each result entry is built
     once as Fraction(x, pivot).
     """
-    rows = [_primitive_int_row(r) for r in m.rows]
+    rows = [primitive_int_row(r) for r in m.rows]
     ncols = m.ncols
     pivots = _int_rref(rows, ncols)
     out_rows = []
@@ -451,6 +485,11 @@ class Subspace:
         return Subspace(ambient, MatQ(res.matrix.rows[: res.rank]))
 
     @staticmethod
+    def image(op: MatQ) -> "Subspace":
+        """The column space of a column-convention operator."""
+        return Subspace.from_rows(op.nrows, op.transpose().rows)
+
+    @staticmethod
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, MatQ(()))
 
@@ -495,6 +534,11 @@ class Subspace:
         if not self.contains_vec(v):
             raise ValueError("vector outside subspace")
         return tuple(v[p] for p in self.pivots)
+
+    def lift(self, local: "Subspace") -> "Subspace":
+        """The subspace of Q^ambient whose coordinates against this basis lie in local."""
+        rows = [row_times_mat(r, self.basis) for r in local.basis.rows]
+        return Subspace.from_rows(self.ambient, rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
@@ -677,18 +721,10 @@ def lattice_intersect_subspace(lat: Lattice, sub: Subspace) -> Lattice:
     normals = kernel(sub.basis)  # rows w with sub.basis @ w^T = 0
     if normals.nrows == 0:
         return lat  # subspace is everything
-    cond = MatQ.from_rows(lat.basis) * normals.transpose()
-    int_cols = []
-    for j in range(cond.ncols):
-        col = [cond.rows[i][j] for i in range(cond.nrows)]
-        den = lcm(*(c.denominator for c in col))
-        int_cols.append([int(c * den) for c in col])
-    cond_int = [[int_cols[j][i] for j in range(len(int_cols))] for i in range(cond.nrows)]
-    rows = []
-    for c in int_kernel(cond_int):
-        rows.append([sum(c[i] * lat.basis[i][j] for i in range(lat.rank))
-                     for j in range(lat.ambient)])
-    return Lattice(lat.ambient, hnf(rows))
+    # scaling the normals by their common denominator leaves the kernel alone
+    ints, _ = clear_denominators(normals.rows)
+    cond = int_matmul(lat.basis, list(zip(*ints)), len(ints))
+    return Lattice(lat.ambient, hnf(int_matmul(int_kernel(cond), lat.basis, lat.ambient)))
 
 
 def saturation(lat: Lattice, sub: "Lattice") -> Lattice:

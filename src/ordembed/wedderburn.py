@@ -39,15 +39,15 @@ from .linalg import (
     Subspace,
     Vec,
     clear_denominators,
-    echelon_insert,
+    echelon_closure,
     int_identity_vec,
     int_matmul,
     left_kernel,
+    mat_hstack,
     mat_unvec,
     mat_vec_of,
     op_apply,
     row_times_mat,
-    rref,
     solve_row,
 )
 
@@ -184,7 +184,8 @@ def _crt_idempotents(b: StructureAlgebra, z: Vec, factors: list[tuple[PolyQ, int
         hi = m // fi
         # u_i = h_i^{-1} mod f_i^{mult}
         d, s, _ = poly_xgcd(hi, fi)
-        assert d.degree == 0
+        if d.degree != 0:
+            raise CertificateFailure(message="coprime factor powers have a nonconstant gcd")
         u = (s.scale(1 / d.coeffs[0])) % fi
         g = (hi * u) % m
         out.append(_eval_poly_at(b, g, z))
@@ -200,12 +201,6 @@ def _eval_poly_at(b: StructureAlgebra, p: PolyQ, z: Vec) -> Vec:
             out = tuple(o + c * w for o, w in zip(out, power))
         power = b.mul(power, z)
     return out
-
-
-def _image_rows(op: MatQ) -> MatQ:
-    """Row basis of the image of a column-convention operator."""
-    res = rref(op.transpose())
-    return MatQ(res.matrix.rows[: res.rank])
 
 
 def decompose(a: StructureAlgebra, *, seed: int = 0) -> SemisimpleDecomposition:
@@ -249,7 +244,7 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
             if len(factors) > 1:
                 idems = _crt_idempotents(block, z, factors)
                 for e in idems:
-                    e_rows = _image_rows(block.left_mult_op(e))
+                    e_rows = Subspace.image(block.left_mult_op(e)).basis
                     lifted_rows = MatQ(tuple(row_times_mat(r, rows) for r in e_rows.rows))
                     lifted_unit = row_times_mat(e, rows)
                     queue.append((lifted_unit, lifted_rows))
@@ -352,7 +347,7 @@ def _find_zero_divisor(b: StructureAlgebra, budget: int, seed: int) -> tuple[Vec
 
 def _idempotent_from_left_ideal(b: StructureAlgebra, z: Vec) -> Vec:
     """The idempotent generator of the left ideal b*z (b semisimple)."""
-    ideal_rows = _image_rows(b.right_mult_op(z))
+    ideal_rows = Subspace.image(b.right_mult_op(z)).basis
     k = ideal_rows.nrows
     system = []
     for t in range(k):
@@ -372,15 +367,6 @@ def _idempotent_from_left_ideal(b: StructureAlgebra, z: Vec) -> Vec:
     return e
 
 
-def _corner_rows(b: StructureAlgebra, f: Vec) -> MatQ:
-    """Row basis of the corner f*b*f."""
-    rows = []
-    for i in range(b.dim):
-        rows.append(b.mul(b.mul(f, b.basis_vec(i)), f))
-    res = rref(MatQ(tuple(rows)))
-    return MatQ(res.matrix.rows[: res.rank])
-
-
 def _quaternion_invariants(b: StructureAlgebra) -> tuple[Fraction, Fraction]:
     """Standard-form parameters (alpha, beta) of a dim-4 central simple Q-algebra.
 
@@ -391,46 +377,40 @@ def _quaternion_invariants(b: StructureAlgebra) -> tuple[Fraction, Fraction]:
     all of {-1,0,1}^dim vanishes identically.
     """
     n = b.dim
-    assert n == 4
+    if n != 4:
+        raise CertificateFailure({"dim": n}, "a quaternion algebra has dimension 4")
     # trace-zero subspace of the regular representation
     tr_rows = MatQ((tuple(b.trace(b.basis_vec(i)) for i in range(n)),))
     v_basis = left_kernel(tr_rows.transpose())
-    assert v_basis.nrows == 3
-    u = None
-    alpha = None
-    for combo in itertools.product((-1, 0, 1), repeat=3):
-        if not any(combo):
-            continue
-        cand = row_times_mat(combo, v_basis)
-        scal = _as_scalar(b, b.mul(cand, cand))
-        assert scal is not None, "square of a trace-zero element must be scalar"
-        if scal != 0:
-            u, alpha = cand, scal
-            break
-    assert u is not None and alpha is not None
+    if v_basis.nrows != 3:
+        raise CertificateFailure({"dim": v_basis.nrows}, "the trace-zero part has dimension 3")
+    u, alpha = _scalar_square(b, v_basis)
     # orthogonal complement of u in V under the form x*y + y*x
     conditions = []
     for row in v_basis.rows:
         anti = tuple(p + q for p, q in zip(b.mul(u, row), b.mul(row, u)))
         conditions.append(anti)
     rel = left_kernel(MatQ(tuple(conditions)))
-    assert rel.nrows == 2
-    v = None
-    beta = None
-    for combo_coeffs in itertools.product((-1, 0, 1), repeat=2):
-        if not any(combo_coeffs):
-            continue
-        mix = row_times_mat(combo_coeffs, rel)
-        cand = row_times_mat(mix, v_basis)
-        sq = _as_scalar(b, b.mul(cand, cand))
-        assert sq is not None
-        if sq != 0:
-            v, beta = cand, sq
-            break
-    assert v is not None and beta is not None
-    anti = tuple(p + q for p, q in zip(b.mul(u, v), b.mul(v, u)))
-    assert all(x == 0 for x in anti)
+    if rel.nrows != 2:
+        raise CertificateFailure({"dim": rel.nrows}, "the complement of u has dimension 2")
+    v, beta = _scalar_square(b, rel * v_basis)
+    if any(p + q for p, q in zip(b.mul(u, v), b.mul(v, u))):
+        raise CertificateFailure(message="u and v do not anticommute")
     return alpha, beta
+
+
+def _scalar_square(b: StructureAlgebra, rows: MatQ) -> tuple[Vec, Fraction]:
+    """The first combination of rows, coefficients in {-1, 0, 1}, with a nonzero scalar square."""
+    for combo in itertools.product((-1, 0, 1), repeat=rows.nrows):
+        if not any(combo):
+            continue
+        cand = row_times_mat(combo, rows)
+        sq = _as_scalar(b, b.mul(cand, cand))
+        if sq is None:
+            raise CertificateFailure(message="the square of a trace-zero element is not scalar")
+        if sq != 0:
+            return cand, sq
+    raise CertificateFailure(message="the norm form vanishes on {-1, 0, 1}^dim")
 
 
 def _as_scalar(b: StructureAlgebra, x: Vec) -> Fraction | None:
@@ -476,50 +456,46 @@ def _peel_matrix_units(component: SimpleComponent, budget: int, seed: int) -> Sp
     m = component.reduced_degree
     idempotents: list[Vec] = [b.unit]
     remaining = budget
-    progress = True
-    while progress:
-        if all(_corner_dim(b, f) == c for f in idempotents):
-            n = len(idempotents)
-            assert n == m, "fully peeled component must expose reduced_degree idempotents"
-            return SplitStatus.split(n, idempotents=tuple(idempotents),
+    while True:
+        # the first idempotent f whose corner f*b*f is larger than the centre
+        for pos, f in enumerate(idempotents):
+            corner_rows = Subspace.image(b.left_mult_op(f) * b.right_mult_op(f)).basis
+            if corner_rows.nrows != c:
+                break
+        else:
+            if len(idempotents) != m:
+                raise CertificateFailure(
+                    {"idempotents": len(idempotents), "reduced_degree": m},
+                    "fully peeled component must expose reduced_degree idempotents",
+                )
+            return SplitStatus.split(m, idempotents=tuple(idempotents),
                                      note="zero-divisor search")
-        progress = False
-        for pos, f in enumerate(list(idempotents)):
-            corner_rows = _corner_rows(b, f)
-            if corner_rows.nrows == c:
-                continue
-            corner = induced_algebra(b, corner_rows, name=f"{b.name}.corner",
-                                     unit_hint=f)
-            # a dim-4 rational corner is decided by Hilbert symbols before
-            # any search budget is spent on it
-            if c == 1 and corner.dim == 4:
-                alpha, beta = _quaternion_invariants(corner)
-                places = ramified_places(alpha, beta)
-                if places:
-                    if len(idempotents) == 1:
-                        return SplitStatus.quaternion_division(
-                            places, note=f"({alpha},{beta}) ramified")
-                    return SplitStatus.unknown(
-                        budget,
-                        note="matrix ring over a quaternion division algebra; "
-                             "outside the certificate vocabulary",
-                    )
-            z_local, spent = _find_zero_divisor(corner, remaining, seed)
-            remaining -= spent
-            if z_local is None:
-                return SplitStatus.unknown(budget, note="budget exhausted")
-            e_local = _idempotent_from_left_ideal(corner, z_local)
-            e = row_times_mat(e_local, corner_rows)
-            f_minus_e = tuple(x - y for x, y in zip(f, e))
-            assert any(e) and any(f_minus_e)
-            idempotents[pos:pos + 1] = [e, f_minus_e]
-            progress = True
-            break
-    return SplitStatus.unknown(budget, note="no further splitting found")
-
-
-def _corner_dim(b: StructureAlgebra, f: Vec) -> int:
-    return _corner_rows(b, f).nrows
+        corner = induced_algebra(b, corner_rows, name=f"{b.name}.corner",
+                                 unit_hint=f)
+        # a dim-4 rational corner is decided by Hilbert symbols before
+        # any search budget is spent on it
+        if c == 1 and corner.dim == 4:
+            alpha, beta = _quaternion_invariants(corner)
+            places = ramified_places(alpha, beta)
+            if places:
+                if len(idempotents) == 1:
+                    return SplitStatus.quaternion_division(
+                        places, note=f"({alpha},{beta}) ramified")
+                return SplitStatus.unknown(
+                    budget,
+                    note="matrix ring over a quaternion division algebra; "
+                         "outside the certificate vocabulary",
+                )
+        z_local, spent = _find_zero_divisor(corner, remaining, seed)
+        remaining -= spent
+        if z_local is None:
+            return SplitStatus.unknown(budget, note="budget exhausted")
+        e_local = _idempotent_from_left_ideal(corner, z_local)
+        e = row_times_mat(e_local, corner_rows)
+        f_minus_e = tuple(x - y for x, y in zip(f, e))
+        if not (any(e) and any(f_minus_e)):
+            raise CertificateFailure(message="a peeled idempotent is zero")
+        idempotents[pos:pos + 1] = [e, f_minus_e]
 
 
 def resolve_all(dec: SemisimpleDecomposition, budget: int, *, seed: int = 0) -> SemisimpleDecomposition:
@@ -561,20 +537,16 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
     if module_dim is not None and module_dim != d:
         raise DimensionMismatch("module_dim disagrees with generator size")
     int_gens = [clear_denominators(g.rows)[0] for g in gens]
-    echelon: list[tuple[list[int], int]] = []
-    for row in [int_identity_vec(d)] + [[x for r in g for x in r] for g in int_gens]:
-        echelon_insert(echelon, row)
-    # The span of all words in the generators is the smallest subspace that
-    # holds I and is closed under right multiplication by each generator, so
-    # each basis row is multiplied by each generator once, when it is added.
-    done = 0
-    while done < len(echelon):
-        x, _ = echelon[done]
-        done += 1
+
+    def products(x: list[int]) -> Iterable[list[int]]:
         x_rows = [x[i * d:(i + 1) * d] for i in range(d)]
         for g in int_gens:
-            echelon_insert(echelon, [y for r in int_matmul(x_rows, g, d) for y in r])
-    span = Subspace.from_rows(d * d, [r for r, _ in echelon])
+            yield [y for r in int_matmul(x_rows, g, d) for y in r]
+
+    # The span of all words in the generators is the smallest subspace that
+    # holds I and is closed under right multiplication by each generator.
+    seeds = [int_identity_vec(d)] + [[x for r in g for x in r] for g in int_gens]
+    span = Subspace.from_rows(d * d, echelon_closure(seeds, products))
     return OperatorAlgebra(d, tuple(gens), span)
 
 
@@ -727,8 +699,7 @@ def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed
     parts = []
     covered = 0
     for comp in dec.components:
-        e_mat = _coords_to_matrix(comp.idempotent, mats)
-        image = Subspace.from_rows(d, e_mat.transpose().rows)
+        image = Subspace.image(_coords_to_matrix(comp.idempotent, mats))
         if image.dim == 0:
             raise CertificateFailure(message="a nonzero idempotent matrix has zero image")
         parts.append(IsotypicPart(image, comp, image.dim))
@@ -750,14 +721,14 @@ def _coords_to_matrix(coords: Sequence, mats: Sequence[MatQ]) -> MatQ:
 
 def restrict_op(op: MatQ, w: Subspace) -> MatQ:
     """Matrix of a column-convention operator restricted to an invariant subspace."""
+    solver = RowSolver(w.basis)
     cols = []
     for row in w.basis.rows:
-        image = op_apply(op, row)
-        if not w.contains_vec(image):
+        coords = solver.solve(op_apply(op, row))
+        if coords is None:
             raise NotInvariant("operator does not preserve the subspace")
-        cols.append(w.coords_of(image))
-    k = w.dim
-    return MatQ(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
+        cols.append(coords)
+    return MatQ(tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -798,12 +769,8 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
     if rad.dim:
         # rad * W is invariant, nonzero (the action on W is faithful by
         # construction) and proper (the radical is nilpotent)
-        witness_rows = []
-        for r in rad.basis.rows:
-            r_mat = _coords_to_matrix(r, mats)
-            for local_row in r_mat.transpose().rows:
-                witness_rows.append(row_times_mat(local_row, w.basis))
-        witness = Subspace.from_rows(w.ambient, witness_rows)
+        r_mats = [_coords_to_matrix(r, mats) for r in rad.basis.rows]
+        witness = w.lift(Subspace.image(mat_hstack(*r_mats)))
         if not 0 < witness.dim < w.dim:
             raise CertificateFailure({"witness_dim": witness.dim, "module_dim": w.dim},
                                      "radical witness is not a proper nonzero submodule")
@@ -814,11 +781,7 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
         )
     parts = _isotypic_parts(alg, mats, w.dim, seed=seed)
     if len(parts) > 1:
-        local = parts[0].subspace
-        witness = Subspace.from_rows(
-            w.ambient, [row_times_mat(r, w.basis) for r in local.basis.rows]
-        )
-        return SimplicityResult("not_simple", witness=witness,
+        return SimplicityResult("not_simple", witness=w.lift(parts[0].subspace),
                                 note="multiple isotypic components")
     _, comp, comm_mats = simple_commutant(sub_action, budget, name="End", seed=seed)
     status = comp.split_status
@@ -831,12 +794,7 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
         if idem is None:
             return SimplicityResult("unknown", budget=budget,
                                     note="split commutant without explicit idempotent")
-        idem_parent = comp.to_parent(idem)
-        e_mat = _coords_to_matrix(idem_parent, comm_mats)
-        local = Subspace.from_rows(w.dim, e_mat.transpose().rows)
-        witness = Subspace.from_rows(
-            w.ambient, [row_times_mat(r, w.basis) for r in local.basis.rows]
-        )
-        return SimplicityResult("not_simple", witness=witness,
+        local = Subspace.image(_coords_to_matrix(comp.to_parent(idem), comm_mats))
+        return SimplicityResult("not_simple", witness=w.lift(local),
                                 note="commutant contains a proper idempotent")
     return SimplicityResult("unknown", budget=budget, note=status.note)

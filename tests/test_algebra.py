@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordembed.algebra import (
     StructureAlgebra,
@@ -29,6 +29,7 @@ from ordembed.algebra import (
     right_annihilator,
     saturate_ideal,
     two_sided_ideal_generated,
+    two_sided_ideal_subspace,
 )
 from ordembed.cli import CORPUS_DIR
 from ordembed.errors import (
@@ -478,6 +479,54 @@ def test_minimal_polynomial_matches_sympy(case):
     ours = alg.minimal_polynomial(a)
     assert list(ours.coeffs) == [F(int(x.p), int(x.q)) for x in rel]
     assert all(type(x) is F for x in ours.coeffs)
+
+
+def sympy_rref_rows(rows):
+    """The nonzero rows of the RREF of rows, computed by sympy, as lists of Fractions."""
+    if not rows:
+        return []
+    reduced = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rref()[0]
+    return [[F(int(x.p), int(x.q)) for x in reduced.row(k)]
+            for k in range(reduced.rows) if any(reduced.row(k))]
+
+
+def element_rows(n):
+    """Up to two elements of an n-dimensional algebra, with int and Fraction entries."""
+    return st.lists(st.lists(wide_entries, min_size=n, max_size=n), min_size=0, max_size=2)
+
+
+@given(scrambled_products(), st.data())
+@settings(deadline=None, max_examples=40)
+def test_two_sided_ideal_is_the_span_of_basis_products(case, data):
+    alg, element = case
+    n = alg.dim
+    gens = [element] + data.draw(element_rows(n))
+    basis = [alg.basis_vec(i) for i in range(n)]
+    # A is unital, so A g A is spanned by the e_i g e_j
+    rows = [product_by_definition(alg, product_by_definition(alg, e, g), f)
+            for g in gens for e in basis for f in basis]
+    ours = two_sided_ideal_subspace(alg, gens)
+    assert [list(r) for r in ours.basis.rows] == sympy_rref_rows(rows)
+
+
+@given(scrambled_products(), st.data())
+@settings(deadline=None, max_examples=40)
+def test_annihilators_match_sympy_nullspaces(case, data):
+    alg, element = case
+    n = alg.dim
+    s = Subspace.from_rows(n, [element] + data.draw(element_rows(n)))
+    assume(s.dim)
+    basis = [alg.basis_vec(i) for i in range(n)]
+    for annihilator, product in (
+        (left_annihilator, lambda e, v: product_by_definition(alg, e, v)),
+        (right_annihilator, lambda e, v: product_by_definition(alg, v, e)),
+    ):
+        # x annihilates s exactly when x @ system = 0: row i holds e_i v (or v e_i) for each v
+        system = sympy.Matrix([[sympy.Rational(x) for v in s.basis.rows for x in product(e, v)]
+                               for e in basis])
+        null = [list(w) for w in system.T.nullspace()]
+        ours = annihilator(alg, s)
+        assert [list(r) for r in ours.basis.rows] == sympy_rref_rows(null)
 
 
 def test_table_reads_make_no_products(monkeypatch):

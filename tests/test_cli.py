@@ -297,6 +297,17 @@ def test_missing_idempotent_generator_fails_its_certificate(monkeypatch):
     assert "idempotent generator" in error["message"]
 
 
+def test_non_scalar_quaternion_square_fails_its_certificate(monkeypatch):
+    # The checks of the quaternion search are raises, not asserts, so they
+    # hold under `python -O` too.
+    monkeypatch.setattr(wedderburn, "_as_scalar", lambda b, x: None)
+    text, code = run_report("decompose", order_arg("lipschitz"))
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    assert "not scalar" in error["message"]
+
+
 def test_budget_exhaustion_exits_two(tmp_path):
     hidden = quaternion_algebra(1, 3)
     doc = {

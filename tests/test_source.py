@@ -1,0 +1,62 @@
+"""Static checks on the package source that need no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ordembed
+
+MODULES = sorted(Path(ordembed.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, in the order they are imported.
+
+    A name counts as read when it appears as a name anywhere in the module,
+    in a string annotation, or in `__all__`.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        for ann in annotations:
+            for c in ast.walk(ann) if ann is not None else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    read |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                             if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from typing import Sequence\n"
+        "from .linalg import MatQ, Subspace as S, rref\n"
+        "def f(x: 'Sequence[MatQ]') -> S:\n"
+        "    return sys.argv\n"
+    )
+    assert unused_imports(source) == ["os", "rref"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
