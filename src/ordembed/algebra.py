@@ -9,7 +9,6 @@ a -> left_mult_op(a) an algebra homomorphism into matrices.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,10 +48,6 @@ from .linalg import (
     zero_vec,
 )
 
-ASSOC_FULL_CHECK_MAX_DIM = 64
-ASSOC_SAMPLE_TRIPLES = 1000
-
-
 @dataclass(frozen=True)
 class StructureAlgebra:
     """Finite-dimensional associative unital algebra over Q.
@@ -67,7 +62,6 @@ class StructureAlgebra:
     basis_labels: tuple[str, ...]
     unit: Vec
     table: tuple[tuple[Vec, ...], ...]
-    assoc_fully_checked: bool = True
 
     @property
     def dim(self) -> int:
@@ -114,16 +108,6 @@ class StructureAlgebra:
                 for m, c in row[j]:
                     acc[m] += ab * c
         return rational_row(acc, den * u_den * v_den)
-
-    def power(self, a: Sequence, k: int) -> Vec:
-        out = self.unit
-        base = vec(a)
-        while k > 0:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     def _int_mult_op(self, a: Sequence, *, left: bool) -> tuple[list[list[int]], int]:
         """Integer matrix and denominator of v -> a*v (left) or v -> v*a."""
@@ -199,12 +183,6 @@ class StructureAlgebra:
             scale //= g
             scales.append(scale)
 
-    def is_commutative(self) -> bool:
-        n = self.dim
-        return all(
-            self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i + 1, n)
-        )
-
 
 def _check_unit(alg: StructureAlgebra) -> None:
     """Column i of both multiplication operators of the unit must be e_i."""
@@ -231,21 +209,14 @@ def _assoc_defect(alg: StructureAlgebra, i: int, j: int, k: int) -> bool:
     return left != right
 
 
-def _check_associativity(alg: StructureAlgebra, full: bool, seed: int) -> bool:
+def _check_associativity(alg: StructureAlgebra) -> None:
+    """Raise NotAssociative at the first basis triple, in lexicographic order, that fails."""
     n = alg.dim
-    if full or n <= ASSOC_FULL_CHECK_MAX_DIM:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if _assoc_defect(alg, i, j, k):
-                        raise NotAssociative(i, j, k)
-        return True
-    rng = random.Random(seed)
-    for _ in range(ASSOC_SAMPLE_TRIPLES):
-        i, j, k = (rng.randrange(n) for _ in range(3))
-        if _assoc_defect(alg, i, j, k):
-            raise NotAssociative(i, j, k)
-    return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if _assoc_defect(alg, i, j, k):
+                    raise NotAssociative(i, j, k)
 
 
 def build_algebra(
@@ -253,12 +224,8 @@ def build_algebra(
     basis_labels: Sequence[str],
     unit: Sequence,
     table: Sequence[Sequence[Sequence]],
-    *,
-    verify: bool = True,
-    full_assoc_check: bool = False,
-    seed: int = 0,
 ) -> StructureAlgebra:
-    """Construct and (by default) validate an algebra from a dense table."""
+    """Construct an algebra from a dense table, checking its unit and associativity."""
     labels = tuple(str(s) for s in basis_labels)
     n = len(labels)
     unit_v = vec(unit)
@@ -272,15 +239,12 @@ def build_algebra(
             if len(dense[i][j]) != n:
                 raise DimensionMismatch(f"product ({i},{j}) has wrong length")
     alg = StructureAlgebra(name, labels, unit_v, dense)
-    if verify and n:
-        _check_unit(alg)
-        fully = _check_associativity(alg, full_assoc_check, seed)
-        if not fully:
-            alg = StructureAlgebra(name, labels, unit_v, dense, assoc_fully_checked=False)
+    _check_unit(alg)
+    _check_associativity(alg)
     return alg
 
 
-def load_algebra(doc: dict, *, full_assoc_check: bool = False, seed: int = 0) -> StructureAlgebra:
+def load_algebra(doc: dict) -> StructureAlgebra:
     """Validate a parsed algebra document (see the file format in the README)."""
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be an object")
@@ -305,9 +269,7 @@ def load_algebra(doc: dict, *, full_assoc_check: bool = False, seed: int = 0) ->
         if not (0 <= i < dim and 0 <= j < dim) or len(c) != dim:
             raise ParseError(f"table entry ({i},{j}) out of range")
         table[i][j] = c
-    return build_algebra(
-        name, basis, unit, table, full_assoc_check=full_assoc_check, seed=seed
-    )
+    return build_algebra(name, basis, unit, table)
 
 
 def algebra_to_doc(alg: StructureAlgebra) -> dict:
@@ -346,17 +308,7 @@ def product_algebra(a: StructureAlgebra, b: StructureAlgebra, name: str | None =
         for j in range(m):
             table[n + i][n + j] = emb_b(b.table[i][j])
     return StructureAlgebra(
-        name or f"{a.name}*{b.name}", labels, unit,
-        tuple(tuple(r) for r in table),
-        assoc_fully_checked=a.assoc_fully_checked and b.assoc_fully_checked,
-    )
-
-
-def opposite_algebra(a: StructureAlgebra, name: str | None = None) -> StructureAlgebra:
-    table = tuple(tuple(a.table[j][i] for j in range(a.dim)) for i in range(a.dim))
-    return StructureAlgebra(
-        name or f"{a.name}.op", a.basis_labels, a.unit, table,
-        assoc_fully_checked=a.assoc_fully_checked,
+        name or f"{a.name}*{b.name}", labels, unit, tuple(tuple(r) for r in table)
     )
 
 
@@ -418,7 +370,6 @@ def induced_algebra(
     return StructureAlgebra(
         name, lab, vec(unit_coords),
         tuple(tuple(products[i][j] for j in range(k)) for i in range(k)),
-        assoc_fully_checked=a.assoc_fully_checked,
     )
 
 
@@ -451,10 +402,7 @@ def quotient_algebra_by_subspace(
             row.append(project(a.mul(reps[i], reps[j])))
         table.append(tuple(row))
     labels = tuple(a.basis_labels[f] for f in free)
-    quotient = StructureAlgebra(
-        name, labels, project(a.unit), tuple(table),
-        assoc_fully_checked=a.assoc_fully_checked,
-    )
+    quotient = StructureAlgebra(name, labels, project(a.unit), tuple(table))
     proj_mat = MatQ(tuple(project(a.basis_vec(i)) for i in range(a.dim)))
     return quotient, proj_mat
 
@@ -599,13 +547,12 @@ def build_order(
         ambient.basis_labels if standard else tuple(f"g{i}" for i in range(n)),
         vec(unit_coords),
         tuple(table),
-        assoc_fully_checked=ambient.assoc_fully_checked,
     )
     return OrderRing(ambient, lattice, coord_alg)
 
 
-def load_order(doc: dict, *, full_assoc_check: bool = False, seed: int = 0) -> OrderRing:
-    alg = load_algebra(doc, full_assoc_check=full_assoc_check, seed=seed)
+def load_order(doc: dict) -> OrderRing:
+    alg = load_algebra(doc)
     lattice = None
     if "lattice" in doc:
         try:
@@ -640,19 +587,18 @@ class LatticeIdeal:
         return self.lattice.span()
 
 
-def build_ideal(parent: OrderRing, rows: Iterable[Sequence[int]], *, verify: bool = True) -> LatticeIdeal:
+def build_ideal(parent: OrderRing, rows: Iterable[Sequence[int]]) -> LatticeIdeal:
     n = parent.rank
     lat = Lattice.from_rows(n, rows)
     alg = parent.coord_algebra
-    if verify:
-        for g in lat.basis:
-            gv = vec(g)
-            for i in range(n):
-                e = alg.basis_vec(i)
-                if not lat.contains_vec(alg.mul(e, gv)):
-                    raise ParseError("ideal rows not closed under left multiplication")
-                if not lat.contains_vec(alg.mul(gv, e)):
-                    raise ParseError("ideal rows not closed under right multiplication")
+    for g in lat.basis:
+        gv = vec(g)
+        for i in range(n):
+            e = alg.basis_vec(i)
+            if not lat.contains_vec(alg.mul(e, gv)):
+                raise ParseError("ideal rows not closed under left multiplication")
+            if not lat.contains_vec(alg.mul(gv, e)):
+                raise ParseError("ideal rows not closed under right multiplication")
     sat = _saturate_in_order(lat)
     return LatticeIdeal(parent, lat, saturated=(sat.basis == lat.basis))
 
@@ -757,7 +703,6 @@ def quotient_by_ideal(parent: OrderRing, ideal: LatticeIdeal, *, name: str | Non
         tuple(f"q{i}" for i in range(q)),
         project(alg.unit),
         tuple(table),
-        assoc_fully_checked=alg.assoc_fully_checked,
     )
     return QuotientResult(build_order(quot_alg), proj, lifts)
 

@@ -92,19 +92,14 @@ def _sibling_resolver(base: Path, inputs: _Inputs):
     return resolve
 
 
-def _load_order_file(path: Path, inputs: _Inputs, args) -> object:
+def _load_order_file(path: Path, inputs: _Inputs) -> object:
     doc = inputs.read("order", path)
-    return load_order(doc, full_assoc_check=args.full_assoc_check, seed=args.seed)
+    return load_order(doc)
 
 
 def _load_embedding_file(path: Path, inputs: _Inputs, args) -> object:
     doc = inputs.read("embedding", path)
-    return load_embedding(
-        doc,
-        resolver=_sibling_resolver(path, inputs),
-        full_assoc_check=args.full_assoc_check,
-        seed=args.seed,
-    )
+    return load_embedding(doc, resolver=_sibling_resolver(path, inputs), seed=args.seed)
 
 
 # -- command handlers -----------------------------------------------------------------
@@ -113,9 +108,9 @@ def _load_embedding_file(path: Path, inputs: _Inputs, args) -> object:
 def _cmd_decompose(args, inputs: _Inputs) -> tuple[dict, int]:
     if args.algebra:
         doc = inputs.read("algebra", Path(args.algebra))
-        alg = load_algebra(doc, full_assoc_check=args.full_assoc_check, seed=args.seed)
+        alg = load_algebra(doc)
     else:
-        alg = _load_order_file(Path(args.order), inputs, args).coord_algebra
+        alg = _load_order_file(Path(args.order), inputs).coord_algebra
     try:
         dec = resolve_all(decompose(alg, seed=args.seed), args.budget, seed=args.seed)
     except NotSemisimple as exc:
@@ -130,7 +125,7 @@ def _cmd_decompose(args, inputs: _Inputs) -> tuple[dict, int]:
 
 
 def _cmd_min_primes(args, inputs: _Inputs) -> tuple[dict, int]:
-    order = _load_order_file(Path(args.order), inputs, args)
+    order = _load_order_file(Path(args.order), inputs)
     try:
         primes = minimal_primes(order, seed=args.seed)
     except NotSemiprime as exc:
@@ -139,7 +134,7 @@ def _cmd_min_primes(args, inputs: _Inputs) -> tuple[dict, int]:
 
 
 def _cmd_quotient(args, inputs: _Inputs) -> tuple[dict, int]:
-    order = _load_order_file(Path(args.order), inputs, args)
+    order = _load_order_file(Path(args.order), inputs)
     report = classical_quotient(order_facts(order, seed=args.seed))
     dec = None
     code = EXIT_OK
@@ -151,7 +146,7 @@ def _cmd_quotient(args, inputs: _Inputs) -> tuple[dict, int]:
 
 
 def _cmd_criteria(args, inputs: _Inputs) -> tuple[dict, int]:
-    order = _load_order_file(Path(args.order), inputs, args)
+    order = _load_order_file(Path(args.order), inputs)
     facts = order_facts(order, seed=args.seed)
     centre_report = centre_criterion(facts)
     embed_report = embeddability_report(facts)
@@ -174,7 +169,7 @@ def _cmd_criteria(args, inputs: _Inputs) -> tuple[dict, int]:
 
 
 def _cmd_analyze(args, inputs: _Inputs) -> tuple[dict, int]:
-    order = _load_order_file(Path(args.order), inputs, args)
+    order = _load_order_file(Path(args.order), inputs)
     facts = order_facts(order, seed=args.seed)
     quotient = classical_quotient(facts)
     centre_report = centre_criterion(facts)
@@ -319,7 +314,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=1000)
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--output", default=None)
-    sub.add_argument("--full-assoc-check", action="store_true")
 
 
 @functools.cache

@@ -32,7 +32,7 @@ from .embeddings import (
     canonical_embedding,
     primes_of_decomposition,
 )
-from .errors import CentreNotEtale, NotSemiprime, NotSemisimple, ParseError
+from .errors import CentreNotEtale, CertificateFailure, NotSemiprime, NotSemisimple, ParseError
 from .linalg import (
     IntVec,
     Lattice,
@@ -289,7 +289,9 @@ def _product_iso(
         image: list = []
         for sl, solver in zip(slices, solvers):
             coords = solver.solve(alg.mul(sl.idempotent, b))
-            assert coords is not None
+            if coords is None:
+                raise CertificateFailure({"slice": sl.prime_index, "basis_index": j},
+                                         "a slice does not contain its projection of the span")
             image.extend(coords)
         rows.append(image)
     m = MatQ.from_rows(rows)
@@ -311,12 +313,14 @@ def _contract_primes(
         coords = []
         for row in meet.basis:
             c = zsolver.solve(vec(row))
-            assert c is not None
+            if c is None:
+                raise CertificateFailure(message="a prime meets the centre outside its span")
             coords.append([int(x) for x in c])
         contracted = build_ideal(centre_data.order, coords)
-        assert contracted.lattice.basis in targets, (
-            "a minimal prime contracted to a non-minimal central ideal"
-        )
+        if contracted.lattice.basis not in targets:
+            raise CertificateFailure(
+                message="a minimal prime contracted to a non-minimal central ideal"
+            )
         indices.append(targets.index(contracted.lattice.basis))
     surjective = set(indices) == set(range(len(targets)))
     return tuple(indices), surjective
@@ -464,7 +468,9 @@ def idempotent_centre_criterion(facts: OrderFacts) -> IdempotentCentreReport:
         )
         raise CentreNotEtale(radical=lifted)
     for comp in centre_data.decomposition.components:
-        assert comp.centre_dim == comp.algebra.dim, "commutative blocks are fields"
+        if comp.centre_dim != comp.algebra.dim:
+            raise CertificateFailure({"component": comp.algebra.name},
+                                     "a block of the commutative centre is not a field")
 
     factors = facts.slices
     verdict = facts.semiprime and all(f.semisimple for f in factors)

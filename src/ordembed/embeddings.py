@@ -112,9 +112,6 @@ class Embedding:
     def codomain_dim(self) -> int:
         return self.codomain.parent.dim
 
-    def image_of(self, coords: Sequence) -> Vec:
-        return row_times_mat(vec(coords), self.map)
-
 
 def _non_multiplicative_pair(
     src: StructureAlgebra, dst: StructureAlgebra, m: MatQ
@@ -200,7 +197,6 @@ def load_embedding(
     doc: dict,
     *,
     resolver: Callable[[str], dict] | None = None,
-    full_assoc_check: bool = False,
     seed: int = 0,
 ) -> Embedding:
     """Build an embedding from its document.
@@ -220,14 +216,14 @@ def load_embedding(
 
     if "domain" not in doc or "codomain" not in doc or "map" not in doc:
         raise ParseError("embedding document needs domain, codomain and map")
-    domain = load_order(resolve(doc["domain"]), full_assoc_check=full_assoc_check, seed=seed)
+    domain = load_order(resolve(doc["domain"]))
     entries = doc["codomain"]
     if not entries:
         raise ParseError("embedding codomain list is empty")
     parts = []
     names = []
     for ent in entries:
-        alg = load_algebra(resolve(ent), full_assoc_check=full_assoc_check, seed=seed)
+        alg = load_algebra(resolve(ent))
         try:
             dec = decompose(alg, seed=seed)
         except NotSemisimple as exc:
@@ -271,13 +267,15 @@ def embedding_to_doc(
 
 def _nilpotent_witness(order: OrderRing, exc: NotSemisimple) -> tuple[int, ...]:
     rad = exc.radical
-    assert rad is not None and rad.dim > 0
+    if rad is None or rad.dim == 0:
+        raise CertificateFailure(message="a non-semisimple span carries no radical")
     witness = primitive_int_row(rad.basis.rows[0])
     alg = order.coord_algebra
     power = vec(witness)
     for _ in range(alg.dim):
         power = alg.mul(power, vec(witness))
-    assert not any(power), "radical witness must be nilpotent"
+    if any(power):
+        raise CertificateFailure({"witness": witness}, "radical witness is not nilpotent")
     return witness
 
 
@@ -313,21 +311,26 @@ def primes_of_decomposition(
             if j != i:
                 others = others.add(comp.subspace())
         lat = lattice_intersect_subspace(Lattice.standard(n), others)
-        ideal = build_ideal(order, lat.basis, verify=True)
-        assert ideal.saturated
+        ideal = build_ideal(order, lat.basis)
+        if not ideal.saturated:
+            raise CertificateFailure({"prime": i}, f"minimal prime {i} is not saturated")
         primes.append(ideal)
     spans = [p.span() for p in primes]
     total = Subspace.full(n)
     for s in spans:
         total = total.intersect(s)
-    assert total.dim == 0, "minimal primes must intersect to zero"
+    if total.dim:
+        raise CertificateFailure({"intersection_dim": total.dim},
+                                 "minimal primes do not intersect to zero")
     if len(primes) > 1:
         for i in range(len(primes)):
             rest = Subspace.full(n)
             for j, s in enumerate(spans):
                 if j != i:
                     rest = rest.intersect(s)
-            assert rest.dim > 0, "minimal prime family must be irredundant"
+            if rest.dim == 0:
+                raise CertificateFailure({"prime": i},
+                                         f"minimal prime {i} is redundant in the family")
     return tuple(primes)
 
 
@@ -367,15 +370,11 @@ def identity_certificate(f: Embedding) -> MorphismCertificate:
     return MorphismCertificate(f, f, MatQ.identity(f.codomain_dim), "iso")
 
 
-def verify_morphism(
-    cert: MorphismCertificate, *, natural_endpoints: bool = False
-) -> tuple[bool, dict]:
+def verify_morphism(cert: MorphismCertificate) -> tuple[bool, dict]:
     """Re-check a morphism certificate entry by entry.
 
     Returns (ok, diagnostics). The diagnostics name the first failing basis
-    pair or lattice basis vector. With natural_endpoints=True the morphism
-    is additionally required to be injective, which must hold whenever both
-    endpoints are natural embeddings.
+    pair or lattice basis vector.
     """
     src = cert.source.codomain.parent
     dst = cert.target.codomain.parent
@@ -407,14 +406,10 @@ def verify_morphism(
         diag["kind"] = r == src.dim
     elif cert.kind == "iso":
         diag["kind"] = src.dim == dst.dim and r == src.dim
-    if natural_endpoints:
-        diag["natural_mono"] = r == src.dim
     ok = all(
         diag[key] for key in
         ("shape", "unital", "multiplicative", "triangle", "kind")
     )
-    if natural_endpoints:
-        ok = ok and diag["natural_mono"]
     return ok, diag
 
 
@@ -567,8 +562,9 @@ def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeId
     lat = lattice_intersect_subspace(
         Lattice.standard(n), Subspace.from_rows(n, ker.rows)
     )
-    ideal = build_ideal(order, lat.basis, verify=True)
-    assert ideal.saturated
+    ideal = build_ideal(order, lat.basis)
+    if not ideal.saturated:
+        raise CertificateFailure(message="annihilator ideal is not saturated")
     return ideal
 
 
@@ -721,10 +717,7 @@ def _product_decomposition(parts: Sequence[tuple], *, name: str) -> SemisimpleDe
                 for b in range(dims[j]):
                     row.append(embed(i, p[0].table[a][b]) if i == j else zero)
             table.append(tuple(row))
-    product = StructureAlgebra(
-        name, labels, tuple(unit), tuple(table),
-        assoc_fully_checked=all(p[0].assoc_fully_checked for p in parts),
-    )
+    product = StructureAlgebra(name, labels, tuple(unit), tuple(table))
     components = []
     idempotents = []
     for i, (alg, centre_dim, reduced_degree, status) in enumerate(parts):

@@ -555,9 +555,6 @@ class Subspace:
         rows = [row_times_mat(rel[: self.dim], self.basis) for rel in relations.rows]
         return Subspace.from_rows(self.ambient, rows)
 
-    def sort_key(self):
-        return (self.dim, self.basis.rows)
-
 
 # -- integer lattices ------------------------------------------------------------
 
@@ -647,9 +644,6 @@ class Lattice:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def basis_mat(self) -> MatQ:
-        return MatQ.from_rows(self.basis)
-
     def span(self) -> Subspace:
         return Subspace.from_rows(self.ambient, self.basis)
 
@@ -707,9 +701,6 @@ class Lattice:
             rows.append([sum(a[i] * self.basis[i][j] for i in range(self.rank))
                          for j in range(self.ambient)])
         return Lattice(self.ambient, hnf(rows))
-
-    def sort_key(self):
-        return (self.rank, self.basis)
 
 
 def lattice_intersect_subspace(lat: Lattice, sub: Subspace) -> Lattice:

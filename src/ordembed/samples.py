@@ -197,8 +197,7 @@ def change_basis(a: StructureAlgebra, u: MatQ, *, name: str | None = None) -> St
         table.append(tuple(row))
     unit = row_times_mat(a.unit, u_inv)
     labels = tuple(f"f{i}" for i in range(n))
-    return build_algebra(name or f"{a.name}~", labels, unit, tuple(table),
-                         full_assoc_check=False)
+    return build_algebra(name or f"{a.name}~", labels, unit, tuple(table))
 
 
 SEMISIMPLE_POOL = (

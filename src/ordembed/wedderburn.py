@@ -650,12 +650,6 @@ def _commutator_vec(x: Sequence[int], g: Sequence[Sequence[int]]) -> tuple[int, 
     return tuple(out)
 
 
-def commutant(e: OperatorAlgebra, *, name: str = "commutant") -> StructureAlgebra:
-    mats = commutant_matrices(e)
-    alg, _ = matrices_to_algebra(mats, name=name)
-    return alg
-
-
 def simple_commutant(
     e: OperatorAlgebra, budget: int, *, name: str, seed: int = 0
 ) -> tuple[StructureAlgebra, SimpleComponent, tuple[MatQ, ...]]:
@@ -681,16 +675,13 @@ class IsotypicPart:
     image_dim: int
 
 
-def isotypic_split(e: OperatorAlgebra, module_dim: int | None = None, *, seed: int = 0) -> tuple[IsotypicPart, ...]:
+def isotypic_split(e: OperatorAlgebra, *, seed: int = 0) -> tuple[IsotypicPart, ...]:
     """Isotypic decomposition of the module under a semisimple action."""
-    d = e.module_dim
-    if module_dim is not None and module_dim != d:
-        raise DimensionMismatch("module_dim disagrees with the operator algebra")
     alg, mats = spanned_algebra(e)
     rad = radical(alg)
     if rad.dim:
         raise NotSemisimpleAction("the spanned operator algebra has nonzero radical")
-    return _isotypic_parts(alg, mats, d, seed=seed)
+    return _isotypic_parts(alg, mats, e.module_dim, seed=seed)
 
 
 def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed: int) -> tuple[IsotypicPart, ...]:

@@ -38,6 +38,8 @@ from ordembed.linalg import (
     MatQ,
     lattice_intersect_subspace,
     rank,
+    row_times_mat,
+    vec,
 )
 from ordembed.samples import (
     dihedral4_group_algebra,
@@ -205,7 +207,7 @@ def test_criterion_04_fixpoint_and_elementariness():
         for i in range(scalar.domain.rank):
             row = [0] * scalar.domain.rank
             row[i] = 1
-            moved = parent.mul(scalar.image_of(row), w)
+            moved = parent.mul(row_times_mat(vec(row), scalar.map), w)
             assert witness.coords_of(moved) is not None, "not left-stable"
         for j in range(parent.dim):
             moved = parent.mul(w, parent.basis_vec(j))

@@ -23,7 +23,7 @@ from ordembed.embeddings import (
     verify_morphism,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import MatQ
+from ordembed.linalg import Lattice, MatQ
 from ordembed.samples import (
     integer_matrix_order,
     integers_order,
@@ -306,6 +306,23 @@ def test_non_scalar_quaternion_square_fails_its_certificate(monkeypatch):
     error = json.loads(text)["report"]["error"]
     assert error["type"] == "CertificateFailure"
     assert "not scalar" in error["message"]
+
+
+def test_unsaturated_minimal_prime_fails_its_certificate(monkeypatch):
+    # Twice each prime's lattice is an ideal, but not a saturated one. The
+    # check is a raise, not an assert, so it holds under `python -O` too.
+    original = embeddings.lattice_intersect_subspace
+
+    def doubled(lat, sub):
+        meet = original(lat, sub)
+        return Lattice.from_rows(meet.ambient, [[2 * x for x in row] for row in meet.basis])
+
+    monkeypatch.setattr(embeddings, "lattice_intersect_subspace", doubled)
+    text, code = run_report("min-primes", order_arg("crt"))
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    assert "not saturated" in error["message"]
 
 
 def test_budget_exhaustion_exits_two(tmp_path):

@@ -228,7 +228,7 @@ def test_load_embedding_rejects_bad_codomain_entries():
 
 def test_identity_certificate_verifies():
     sigma = canonical_embedding(order_facts(crt_order()))
-    ok, diag = verify_morphism(identity_certificate(sigma), natural_endpoints=True)
+    ok, diag = verify_morphism(identity_certificate(sigma))
     assert ok, diag
 
 

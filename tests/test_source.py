@@ -8,6 +8,10 @@ import pytest
 import ordembed
 
 MODULES = sorted(Path(ordembed.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# Every file that may name a definition of the package.
+REFERRERS = sorted(p for d in ("src", "tests", "tools", "perfbench")
+                   for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,3 +64,47 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(defining: list[str], referring: list[str]) -> list[str]:
+    """Functions, methods and classes defined in `defining` that no source names.
+
+    A definition counts as named when its name appears as a name, an
+    attribute or an import alias in any of the `referring` sources. Dunder
+    names are exempt: the language calls them.
+    """
+    named = set()
+    for source in referring:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named |= {node.name.split(".")[-1], node.asname}
+    defined = []
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in named:
+                    defined.append(name)
+    return defined
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    package = (
+        "class A:\n"
+        "    def __len__(self): return 0\n"
+        "    def used(self): return helper()\n"
+        "    def unused(self): return 1\n"
+        "def helper(): return 2\n"
+        "def imported(): return 3\n"
+    )
+    caller = "from m import imported\nA().used()\n"
+    assert unreferenced_definitions([package], [package, caller]) == ["unused"]
+
+
+def test_every_definition_is_named_somewhere():
+    referring = [p.read_text() for p in REFERRERS]
+    assert unreferenced_definitions([p.read_text() for p in MODULES], referring) == []

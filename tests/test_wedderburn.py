@@ -49,7 +49,6 @@ from ordembed import wedderburn
 from ordembed.exact import PolyQ
 from ordembed.wedderburn import (
     certify_simple_module,
-    commutant,
     commutant_matrices,
     decompose,
     isotypic_split,
@@ -279,7 +278,7 @@ def test_commutant_of_full_matrix_action_is_scalars():
     e = operator_algebra(gens)
     mats = commutant_matrices(e)
     assert len(mats) == 1
-    c = commutant(e)
+    c, _ = matrices_to_algebra(mats, name="commutant")
     assert c.dim == 1
 
 
@@ -600,8 +599,7 @@ def test_operator_layer_makes_no_products(monkeypatch):
             return _orig(*args)
         monkeypatch.setattr(owner, attr, counting)
 
-    rebuilt = build_algebra(parent.name, parent.basis_labels, parent.unit, parent.table,
-                            full_assoc_check=True)
+    rebuilt = build_algebra(parent.name, parent.basis_labels, parent.unit, parent.table)
     sub = induced_algebra(parent, comp.block_rows, name="blk", unit_hint=comp.idempotent)
     unhinted = induced_algebra(parent, comp.block_rows, name="blk")
     e = operator_algebra(left + right, module_dim=block.dim)
