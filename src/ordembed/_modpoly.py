@@ -199,17 +199,6 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
 # product, and recurses.
 
 
-def _zp_mul(f: list[int], g: list[int], m: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return trim(out)
-
-
 def _zp_add(f: list[int], g: list[int], m: int) -> list[int]:
     n = max(len(f), len(g))
     out = [0] * n
@@ -217,16 +206,6 @@ def _zp_add(f: list[int], g: list[int], m: int) -> list[int]:
         out[i] = c
     for i, c in enumerate(g):
         out[i] = (out[i] + c) % m
-    return trim(out)
-
-
-def _zp_sub(f: list[int], g: list[int], m: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % m
     return trim(out)
 
 
@@ -250,14 +229,14 @@ def hensel_step(f, g, h, s, t, p: int, prec: int, prec2: int):
     """One quadratic step: data valid mod p^prec becomes valid mod p^prec2."""
     m = p ** prec2
     f = [c % m for c in f]
-    e = _zp_sub(f, _zp_mul(g, h, m), m)
-    q, r = _zp_divmod_monic(_zp_mul(s, e, m), h, m)
-    g_new = _zp_add(g, _zp_add(_zp_mul(t, e, m), _zp_mul(q, g, m), m), m)
+    e = mp_sub(f, mp_mul(g, h, m), m)
+    q, r = _zp_divmod_monic(mp_mul(s, e, m), h, m)
+    g_new = _zp_add(g, _zp_add(mp_mul(t, e, m), mp_mul(q, g, m), m), m)
     h_new = _zp_add(h, r, m)
-    b = _zp_sub(_zp_add(_zp_mul(s, g_new, m), _zp_mul(t, h_new, m), m), [1], m)
-    c, d = _zp_divmod_monic(_zp_mul(s, b, m), h_new, m)
-    s_new = _zp_sub(s, d, m)
-    t_new = _zp_sub(t, _zp_add(_zp_mul(t, b, m), _zp_mul(c, g_new, m), m), m)
+    b = mp_sub(_zp_add(mp_mul(s, g_new, m), mp_mul(t, h_new, m), m), [1], m)
+    c, d = _zp_divmod_monic(mp_mul(s, b, m), h_new, m)
+    s_new = mp_sub(s, d, m)
+    t_new = mp_sub(t, _zp_add(mp_mul(t, b, m), mp_mul(c, g_new, m), m), m)
     return g_new, h_new, s_new, t_new
 
 
@@ -401,7 +380,7 @@ def factor_squarefree_int(f: list[int]) -> list[list[int]]:
             for combo in itertools.combinations(remaining, size):
                 prod = [current[-1] % m]
                 for idx in combo:
-                    prod = _zp_mul(prod, lifted[idx], m)
+                    prod = mp_mul(prod, lifted[idx], m)
                 cand = _primitive(trim([_symmetric(c, m) for c in prod]))
                 if not cand:
                     continue

@@ -36,48 +36,67 @@ from .linalg import (
     echelon_closure,
     echelon_insert,
     inverse,
-    is_zero_vec,
     kernel,
     lattice_intersect_subspace,
+    over_common_den,
     rank,
     rational_row,
     row_times_mat,
     snf,
-    solve_row,
     vec,
-    zero_vec,
 )
 
 @dataclass(frozen=True)
 class StructureAlgebra:
     """Finite-dimensional associative unital algebra over Q.
 
-    `table[i][j]` is the product of basis elements i and j. Products and
-    multiplication operators read an integer view of it, built once per
-    algebra: one common denominator and, per pair (i, j), the nonzero
-    entries as (m, int) pairs.
+    The structure constants are stored once, in integers: b_i b_j is the sum
+    of t / den * b_m over the pairs (m, t) in `products[i][j]`, which lists
+    the nonzero entries in increasing m. `den` is least, so equal tables
+    give equal objects. `from_ints` and `from_table` build one; the rational
+    `table` is a view for documents.
     """
 
     name: str
     basis_labels: tuple[str, ...]
     unit: Vec
-    table: tuple[tuple[Vec, ...], ...]
+    den: int
+    products: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+    @classmethod
+    def from_ints(cls, name: str, basis_labels: Sequence[str], unit: Sequence, den: int,
+                  rows: Sequence[Sequence[Sequence[int]]]) -> StructureAlgebra:
+        """The algebra with b_i b_j = rows[i][j] / den, dividing out gcd(den, every entry)."""
+        g = gcd(den, *(t for row in rows for prod in row for t in prod))
+        return cls(name, tuple(basis_labels), vec(unit), den // g, tuple(
+            tuple(tuple((m, t // g) for m, t in enumerate(prod) if t) for prod in row)
+            for row in rows
+        ))
+
+    @classmethod
+    def from_table(cls, name: str, basis_labels: Sequence[str], unit: Sequence,
+                   table: Sequence[Sequence[Sequence]]) -> StructureAlgebra:
+        """The algebra with b_i b_j = table[i][j], the rational rows cleared once."""
+        n = len(table)
+        ints, den = clear_denominators([prod for row in table for prod in row])
+        rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+        return cls.from_ints(name, basis_labels, unit, den, rows)
 
     @property
     def dim(self) -> int:
         return len(self.basis_labels)
 
     @cached_property
-    def _int_table(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-        """(den, entries) with table[i][j][m] == t / den for each (m, t) in entries[i][j]."""
-        den = lcm(*[c.denominator for row in self.table for prod in row for c in prod])
-        return den, tuple(
-            tuple(
-                tuple((m, c.numerator * (den // c.denominator)) for m, c in enumerate(prod) if c)
-                for prod in row
-            )
-            for row in self.table
-        )
+    def table(self) -> tuple[tuple[Vec, ...], ...]:
+        """The rational structure constants, table[i][j] = b_i b_j: a view for documents."""
+
+        def entry(prod: tuple[tuple[int, int], ...]) -> Vec:
+            ints = [0] * self.dim
+            for m, t in prod:
+                ints[m] = t
+            return rational_row(ints, self.den)
+
+        return tuple(tuple(entry(prod) for prod in row) for row in self.products)
 
     @cached_property
     def _unit_rows(self) -> tuple[Vec, ...]:
@@ -96,23 +115,28 @@ class StructureAlgebra:
             return [(i, c.numerator) for i, c in terms], 1
         return [(i, c.numerator * (den // c.denominator)) for i, c in terms], den
 
-    def mul(self, u: Sequence, v: Sequence) -> Vec:
-        u_terms, u_den = self._int_terms(u)
-        v_terms, v_den = self._int_terms(v)
-        den, table = self._int_table
+    def mul_terms(
+        self, u_terms: Iterable[tuple[int, int]], v_terms: Sequence[tuple[int, int]]
+    ) -> list[int]:
+        """The product of two elements given by their (i, int) terms, as integers over den."""
         acc = [0] * self.dim
         for i, a in u_terms:
-            row = table[i]
+            row = self.products[i]
             for j, b in v_terms:
                 ab = a * b
                 for m, c in row[j]:
                     acc[m] += ab * c
-        return rational_row(acc, den * u_den * v_den)
+        return acc
+
+    def mul(self, u: Sequence, v: Sequence) -> Vec:
+        u_terms, u_den = self._int_terms(u)
+        v_terms, v_den = self._int_terms(v)
+        return rational_row(self.mul_terms(u_terms, v_terms), self.den * u_den * v_den)
 
     def _int_mult_op(self, a: Sequence, *, left: bool) -> tuple[list[list[int]], int]:
         """Integer matrix and denominator of v -> a*v (left) or v -> v*a."""
         a_terms, a_den = self._int_terms(a)
-        den, table = self._int_table
+        den, table = self.den, self.products
         n = self.dim
         acc = [[0] * n for _ in range(n)]
         for j in range(n):
@@ -133,25 +157,23 @@ class StructureAlgebra:
 
     @cached_property
     def _int_traces(self) -> tuple[int, ...]:
-        """Trace of each basis element's left operator, times the table's den."""
-        _, table = self._int_table
+        """Trace of each basis element's left operator, times den."""
         return tuple(
-            sum(c for m, prod in enumerate(row) for p, c in prod if p == m) for row in table
+            sum(c for m, prod in enumerate(row) for p, c in prod if p == m) for row in self.products
         )
 
     def trace(self, a: Sequence) -> Fraction:
         """Trace of the left regular representation of a."""
         terms, a_den = self._int_terms(a)
         traces = self._int_traces
-        return Fraction(sum(x * traces[i] for i, x in terms), self._int_table[0] * a_den)
+        return Fraction(sum(x * traces[i] for i, x in terms), self.den * a_den)
 
     def trace_form(self) -> MatQ:
         """Gram matrix of the trace form: entry (i, j) is trace(b_i b_j)."""
-        den, table = self._int_table
-        traces = self._int_traces
+        den, traces = self.den, self._int_traces
         return MatQ(tuple(
             tuple(Fraction(sum(c * traces[m] for m, c in prod), den * den) for prod in row)
-            for row in table
+            for row in self.products
         ))
 
     def minimal_polynomial(self, a: Sequence) -> PolyQ:
@@ -196,8 +218,8 @@ def _check_unit(alg: StructureAlgebra) -> None:
 
 
 def _assoc_defect(alg: StructureAlgebra, i: int, j: int, k: int) -> bool:
-    """(e_i e_j) e_k != e_i (e_j e_k), compared in integers over the table's den^2."""
-    _, table = alg._int_table
+    """(e_i e_j) e_k != e_i (e_j e_k), compared in integers over den^2."""
+    table = alg.products
     left = [0] * alg.dim
     for m, c in table[i][j]:
         for p, t in table[m][k]:
@@ -238,7 +260,7 @@ def build_algebra(
         for j in range(n):
             if len(dense[i][j]) != n:
                 raise DimensionMismatch(f"product ({i},{j}) has wrong length")
-    alg = StructureAlgebra(name, labels, unit_v, dense)
+    alg = StructureAlgebra.from_table(name, labels, unit_v, dense)
     _check_unit(alg)
     _check_associativity(alg)
     return alg
@@ -276,9 +298,8 @@ def algebra_to_doc(alg: StructureAlgebra) -> dict:
     entries = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            c = alg.table[i][j]
-            if not is_zero_vec(c):
-                entries.append({"i": i, "j": j, "c": [rat_str(x) for x in c]})
+            if alg.products[i][j]:
+                entries.append({"i": i, "j": j, "c": [rat_str(x) for x in alg.table[i][j]]})
     return {
         "name": alg.name,
         "dim": alg.dim,
@@ -288,27 +309,39 @@ def algebra_to_doc(alg: StructureAlgebra) -> dict:
     }
 
 
-def product_algebra(a: StructureAlgebra, b: StructureAlgebra, name: str | None = None) -> StructureAlgebra:
-    """Direct product with block coordinates (a first, then b)."""
-    n, m = a.dim, b.dim
-    labels = tuple(f"{s}.l" for s in a.basis_labels) + tuple(f"{s}.r" for s in b.basis_labels)
-    unit = tuple(a.unit) + tuple(b.unit)
+def product_algebra(
+    parts: Sequence[StructureAlgebra],
+    *,
+    name: str | None = None,
+    labels: Sequence[str] | None = None,
+) -> StructureAlgebra:
+    """Direct product with block coordinates, the parts in the given order.
 
-    def emb_a(v: Vec) -> Vec:
-        return tuple(v) + zero_vec(m)
-
-    def emb_b(v: Vec) -> Vec:
-        return zero_vec(n) + tuple(v)
-
-    table = [[zero_vec(n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = emb_a(a.table[i][j])
-    for i in range(m):
-        for j in range(m):
-            table[n + i][n + j] = emb_b(b.table[i][j])
+    The table is block diagonal over the lcm of the parts' denominators,
+    which is again least. The name defaults to the parts' names joined by
+    '*', the labels to p{i}.{label} for part i.
+    """
+    if not parts:
+        raise DimensionMismatch("empty product")
+    den = lcm(*(p.den for p in parts))
+    total = sum(p.dim for p in parts)
+    products = []
+    offset = 0
+    for p in parts:
+        f = den // p.den
+        before, after = ((),) * offset, ((),) * (total - offset - p.dim)
+        for row in p.products:
+            block = tuple(tuple((offset + m, f * t) for m, t in prod) for prod in row)
+            products.append(before + block + after)
+        offset += p.dim
     return StructureAlgebra(
-        name or f"{a.name}*{b.name}", labels, unit, tuple(tuple(r) for r in table)
+        name or "*".join(p.name for p in parts),
+        tuple(labels) if labels is not None else tuple(
+            f"p{i}.{s}" for i, p in enumerate(parts) for s in p.basis_labels
+        ),
+        tuple(x for p in parts for x in p.unit),
+        den,
+        tuple(products),
     )
 
 
@@ -324,53 +357,45 @@ def induced_algebra(
 
     The rows must span a multiplication-closed subspace. The unit of the
     subalgebra is solved for when no hint is supplied; corner algebras eAe
-    pass their idempotent e.
+    pass their idempotent e. Every product is solved in integers, and the
+    table is built from those integers over one common denominator.
     """
     k = basis_rows.nrows
     solver = RowSolver(basis_rows)
     if solver.rank != k:
         raise DimensionMismatch("subalgebra basis rows are dependent")
     terms = [a._int_terms(r) for r in basis_rows.rows]
-    products: list[list[Vec]] = []
+    coords = []
     for i in range(k):
         # column q of op is b_i * e_q, in integers over op_den
         op, op_den = a._int_mult_op(basis_rows.rows[i], left=True)
-        row_products = []
         for j, (j_terms, j_den) in enumerate(terms):
             acc = [sum(r[q] * y for q, y in j_terms) for r in op]
-            coords = solver.solve_ints(acc, op_den * j_den)
-            if coords is None:
+            sol = solver.solve_ints(acc, op_den * j_den)
+            if sol is None:
                 raise DimensionMismatch(
                     f"subspace not closed under multiplication at pair ({i},{j})"
                 )
-            row_products.append(coords)
-        products.append(row_products)
+            coords.append(sol)
+    flat, den = over_common_den(coords)
+    rows = [flat[i * k:(i + 1) * k] for i in range(k)]
     if unit_hint is not None:
         unit_coords = solver.solve(vec(unit_hint))
         if unit_coords is None:
             raise NoUnit("unit hint lies outside the subalgebra")
     else:
-        # solve u * b_i = b_i = b_i * u in subalgebra coordinates
-        rows_sys = []
-        for s in range(k):
-            row = []
-            for i in range(k):
-                row.extend(products[s][i])
-                row.extend(products[i][s])
-            rows_sys.append(tuple(row))
-        want = []
-        for i in range(k):
-            e = tuple(Fraction(1 if t == i else 0) for t in range(k))
-            want.extend(e)
-            want.extend(e)
-        unit_coords = solve_row(MatQ(tuple(rows_sys)), want)
-        if unit_coords is None:
+        # solve u * b_i = b_i = b_i * u in subalgebra coordinates, on the
+        # table times den
+        system = RowSolver(MatQ(tuple(
+            tuple(x for i in range(k) for x in rows[s][i] + rows[i][s]) for s in range(k)
+        )))
+        want = [den if t == i else 0 for i in range(k) for _ in range(2) for t in range(k)]
+        sol = system.solve_ints(want)
+        if sol is None:
             raise NoUnit(f"subalgebra {name} has no two-sided unit")
+        unit_coords = rational_row(*sol)
     lab = tuple(labels) if labels is not None else tuple(f"b{i}" for i in range(k))
-    return StructureAlgebra(
-        name, lab, vec(unit_coords),
-        tuple(tuple(products[i][j] for j in range(k)) for i in range(k)),
-    )
+    return StructureAlgebra.from_ints(name, lab, unit_coords, den, rows)
 
 
 def quotient_algebra_by_subspace(
@@ -386,23 +411,15 @@ def quotient_algebra_by_subspace(
         raise DimensionMismatch("ideal ambient vs algebra dim")
     piv = set(ideal.pivots)
     free = [j for j in range(a.dim) if j not in piv]
-    q = len(free)
 
     def project(v: Sequence) -> Vec:
         residual = ideal.reduce_vec(v)
         return tuple(residual[j] for j in free)
 
-    reps = []
-    for f in free:
-        reps.append(a.basis_vec(f))
-    table = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            row.append(project(a.mul(reps[i], reps[j])))
-        table.append(tuple(row))
+    reps = [a.basis_vec(f) for f in free]
+    table = [[project(a.mul(x, y)) for y in reps] for x in reps]
     labels = tuple(a.basis_labels[f] for f in free)
-    quotient = StructureAlgebra(name, labels, project(a.unit), tuple(table))
+    quotient = StructureAlgebra.from_table(name, labels, project(a.unit), table)
     proj_mat = MatQ(tuple(project(a.basis_vec(i)) for i in range(a.dim)))
     return quotient, proj_mat
 
@@ -419,7 +436,7 @@ def centre(a: StructureAlgebra) -> Subspace:
     n = a.dim
     if n == 0:
         return Subspace.zero(0)
-    _, table = a._int_table
+    table = a.products
     rows: dict[tuple[int, ...], None] = {}
     for i in range(n):
         comm = [[0] * n for _ in range(n)]
@@ -468,20 +485,13 @@ def subspace_product(a: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
 def two_sided_ideal_subspace(a: StructureAlgebra, gens: Iterable[Sequence]) -> Subspace:
     """Smallest two-sided ideal subspace of the Q-algebra containing gens."""
     n = a.dim
-    _, table = a._int_table
 
     def products(x: list[int]) -> Iterable[list[int]]:
         """e_i * x and x * e_i for each basis element e_i, in integers."""
         terms = [(j, c) for j, c in enumerate(x) if c]
         for i in range(n):
-            left, right = [0] * n, [0] * n
-            for j, c in terms:
-                for m, t in table[i][j]:
-                    left[m] += c * t
-                for m, t in table[j][i]:
-                    right[m] += c * t
-            yield left
-            yield right
+            yield a.mul_terms(((i, 1),), terms)
+            yield a.mul_terms(terms, ((i, 1),))
 
     seeds, _ = clear_denominators([vec(g) for g in gens])
     return Subspace.from_rows(n, echelon_closure(seeds, products))
@@ -539,14 +549,15 @@ def build_order(
                 raise ParseError(
                     f"order lattice not closed under multiplication at pair ({i},{j})"
                 )
-            row.append(vec(coords))
-        table.append(tuple(row))
+            row.append(coords)
+        table.append(row)
     standard = lattice.basis == Lattice.standard(n).basis
-    coord_alg = StructureAlgebra(
+    coord_alg = StructureAlgebra.from_ints(
         name or ambient.name,
         ambient.basis_labels if standard else tuple(f"g{i}" for i in range(n)),
-        vec(unit_coords),
-        tuple(table),
+        unit_coords,
+        1,
+        table,
     )
     return OrderRing(ambient, lattice, coord_alg)
 
@@ -685,24 +696,16 @@ def quotient_by_ideal(parent: OrderRing, ideal: LatticeIdeal, *, name: str | Non
     lifts = tuple(tuple(int(x) for x in w.rows[i]) for i in range(k, n))
     q = n - k
     if q == 0:
-        empty = StructureAlgebra(qname, (), (), ())
+        empty = StructureAlgebra.from_ints(qname, (), (), 1, ())
         return QuotientResult(OrderRing(empty, Lattice.zero(0), empty), proj, ())
 
     def project(x: Sequence) -> Vec:
         return row_times_mat(x, proj)
 
-    table = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            prod = alg.mul(vec(lifts[i]), vec(lifts[j]))
-            row.append(project(prod))
-        table.append(tuple(row))
-    quot_alg = StructureAlgebra(
-        qname,
-        tuple(f"q{i}" for i in range(q)),
-        project(alg.unit),
-        tuple(table),
+    reps = [vec(x) for x in lifts]
+    table = [[project(alg.mul(x, y)) for y in reps] for x in reps]
+    quot_alg = StructureAlgebra.from_table(
+        qname, tuple(f"q{i}" for i in range(q)), project(alg.unit), table
     )
     return QuotientResult(build_order(quot_alg), proj, lifts)
 

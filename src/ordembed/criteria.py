@@ -279,9 +279,9 @@ def _product_iso(
     alg: StructureAlgebra, slices: tuple[SliceData, ...]
 ) -> tuple[StructureAlgebra, MatQ]:
     """A verified isomorphism from the span onto the product of its slices."""
-    prod = slices[0].algebra
-    for sl in slices[1:]:
-        prod = product_algebra(prod, sl.algebra, name=f"{prod.name} x {sl.algebra.name}")
+    prod = product_algebra(
+        [sl.algebra for sl in slices], name=" x ".join(sl.algebra.name for sl in slices)
+    )
     solvers = [RowSolver(sl.rows) for sl in slices]
     rows = []
     for j in range(alg.dim):

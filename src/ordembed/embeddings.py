@@ -37,6 +37,7 @@ from .algebra import (
     load_algebra,
     load_order,
     order_to_doc,
+    product_algebra,
     quotient_by_ideal,
     right_annihilator,
     two_sided_ideal_subspace,
@@ -61,6 +62,7 @@ from .linalg import (
     RowSolver,
     Subspace,
     Vec,
+    clear_denominators,
     inverse,
     lattice_intersect_subspace,
     left_kernel,
@@ -69,7 +71,9 @@ from .linalg import (
     primitive_int_row,
     rank,
     row_times_mat,
+    unit_vec,
     vec,
+    zero_vec,
 )
 from .wedderburn import (
     SemisimpleDecomposition,
@@ -116,10 +120,19 @@ class Embedding:
 def _non_multiplicative_pair(
     src: StructureAlgebra, dst: StructureAlgebra, m: MatQ
 ) -> tuple[int, int] | None:
-    """The first basis pair (i, j) with m(b_i b_j) != m(b_i) m(b_j), or None."""
-    for i in range(src.dim):
-        for j in range(src.dim):
-            if row_times_mat(src.table[i][j], m) != dst.mul(m.row(i), m.row(j)):
+    """The first basis pair (i, j) with m(b_i b_j) != m(b_i) m(b_j), or None.
+
+    With m cleared once to integer rows M over d, m(b_i b_j) is
+    sum_k T_ij[k] M[k] / (src.den d) and m(b_i) m(b_j) is
+    dst.mul_terms(M[i], M[j]) / (dst.den d^2); both are compared as integers.
+    """
+    ints, d = clear_denominators(m.rows)
+    terms = [[(a, x) for a, x in enumerate(r) if x] for r in ints]
+    for i, row in enumerate(src.products):
+        for j, prod in enumerate(row):
+            lhs = [sum(t * ints[k][a] for k, t in prod) for a in range(dst.dim)]
+            rhs = dst.mul_terms(terms[i], terms[j])
+            if any(p * d * dst.den != q * src.den for p, q in zip(lhs, rhs)):
                 return i, j
     return None
 
@@ -173,7 +186,10 @@ def _project_rows(
         solver = RowSolver(comp.block_rows)
         for line, v in zip(out, rows):
             coords = solver.solve(parent.mul(vec(v), comp.idempotent))
-            assert coords is not None, "central projection lands in its own block"
+            if coords is None:
+                raise CertificateFailure(
+                    {"component": i}, "a central projection leaves its own block"
+                )
             line.extend(coords)
     return MatQ(tuple(tuple(line) for line in out))
 
@@ -476,8 +492,10 @@ def reduce_redundant(f: Embedding) -> ReduceResult:
                 break
     for idx in keep:
         trial = [j for j in keep if j != idx]
-        if trial:
-            assert rank(_project_rows(f.codomain, f.map.rows, trial)) < f.domain.rank
+        if trial and rank(_project_rows(f.codomain, f.map.rows, trial)) == f.domain.rank:
+            raise CertificateFailure(
+                {"component": idx}, "a kept component is redundant after reduction"
+            )
     if len(keep) == count:
         return ReduceResult(f, (), identity_certificate(f))
     emb, cert = project_embedding(f, keep)
@@ -689,47 +707,19 @@ def _product_decomposition(parts: Sequence[tuple], *, name: str) -> SemisimpleDe
     resulting decomposition keeps the listed order and carries the given
     split statuses through unchanged.
     """
-    if not parts:
-        raise DimensionMismatch("empty product")
-    dims = [p[0].dim for p in parts]
-    total = sum(dims)
-    offsets = [sum(dims[:i]) for i in range(len(parts))]
-
-    def embed(i: int, v: Sequence) -> Vec:
-        row = [Fraction(0)] * total
-        for k, x in enumerate(v):
-            row[offsets[i] + k] = Fraction(x)
-        return tuple(row)
-
-    labels = tuple(
-        f"p{i}.{lab}" for i, p in enumerate(parts) for lab in p[0].basis_labels
-    )
-    unit = [Fraction(0)] * total
-    for i, p in enumerate(parts):
-        for k, x in enumerate(p[0].unit):
-            unit[offsets[i] + k] = Fraction(x)
-    zero = tuple(Fraction(0) for _ in range(total))
-    table = []
-    for i, p in enumerate(parts):
-        for a in range(dims[i]):
-            row = []
-            for j, q in enumerate(parts):
-                for b in range(dims[j]):
-                    row.append(embed(i, p[0].table[a][b]) if i == j else zero)
-            table.append(tuple(row))
-    product = StructureAlgebra(name, labels, tuple(unit), tuple(table))
+    product = product_algebra([p[0] for p in parts], name=name)
+    total = product.dim
     components = []
     idempotents = []
-    for i, (alg, centre_dim, reduced_degree, status) in enumerate(parts):
-        block_rows = MatQ(tuple(
-            tuple(Fraction(1 if c == offsets[i] + r else 0) for c in range(total))
-            for r in range(dims[i])
-        ))
-        idem = embed(i, alg.unit)
+    offset = 0
+    for alg, centre_dim, reduced_degree, status in parts:
+        block_rows = MatQ(tuple(unit_vec(total, c) for c in range(offset, offset + alg.dim)))
+        idem = zero_vec(offset) + alg.unit + zero_vec(total - offset - alg.dim)
         idempotents.append(idem)
         components.append(SimpleComponent(
             alg, centre_dim, reduced_degree, status, idem, block_rows,
         ))
+        offset += alg.dim
     return SemisimpleDecomposition(product, tuple(idempotents), tuple(components))
 
 
@@ -1192,8 +1182,11 @@ def minimize_to_elementary(f: Embedding, budget: int, *, seed: int = 0) -> Minim
                 )
         before = current.codomain_dim
         step = minimize_step(current, primes, budget, seed=seed)
-        assert step.embedding.codomain_dim < before, \
-            "minimization strictly shrinks the codomain"
+        if step.embedding.codomain_dim >= before:
+            raise CertificateFailure(
+                {"before": before, "after": step.embedding.codomain_dim},
+                "a minimization step did not shrink the codomain",
+            )
         steps.append(("minimize", step))
         current = step.embedding
 
@@ -1218,8 +1211,8 @@ def m_equivalence_necessary(
     centres are never compared by isomorphism, leaving those primes
     undetermined.
     """
-    if f.domain.rank != g.domain.rank or \
-            f.domain.coord_algebra.table != g.domain.coord_algebra.table:
+    fa, ga = f.domain.coord_algebra, g.domain.coord_algebra
+    if f.domain.rank != g.domain.rank or (fa.den, fa.products) != (ga.den, ga.products):
         raise DimensionMismatch("embeddings must share their domain order")
     primes = minimal_primes(f.domain, seed=seed)
     try:

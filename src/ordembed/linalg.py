@@ -19,15 +19,17 @@ by the pivot only when it builds the result. `MatQ.__mul__` clears one
 common denominator per operand, multiplies integers and skips zeros. Every
 entry these kernels return is a `Fraction`, so callers never see an `int`.
 `RowSolver` keeps the integer rows of one elimination of [basis | I] over a
-common pivot and solves each vector in integers (`solve_ints` takes the
-vector as integers over a denominator). `echelon_insert` grows an integer
-echelon one row at a time, and `echelon_closure` closes a span under linear
-maps through it; the algebra layer builds operator algebras, two-sided
-ideals and minimal polynomials on these two. Spans read off an operator go
-through `Subspace.image`. `Lattice.coords_of` back-substitutes in integers
-against the HNF rows; a vector with a non-integral entry is outside the
-lattice at once, and `lattice_intersect_subspace` clears the normals once
-and intersects in integers.
+common pivot and solves each vector in integers: `solve_ints` takes the
+vector as integers over a denominator and returns the coefficients the same
+way, so a caller that builds structure constants never leaves `int`.
+`echelon_insert` grows an integer echelon one row at a time, and
+`echelon_closure` closes a span under linear maps through it; the algebra
+layer builds operator algebras, two-sided ideals and minimal polynomials on
+these two. Spans read off an operator go through `Subspace.image`.
+`Lattice.coords_of` back-substitutes in integers against the HNF rows; a
+vector with a non-integral entry is outside the lattice at once, and
+`lattice_intersect_subspace` clears the normals once and intersects in
+integers.
 """
 
 from __future__ import annotations
@@ -114,9 +116,6 @@ class MatQ:
         self._check_same_shape(other)
         return MatQ(tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)))
 
-    def __neg__(self) -> "MatQ":
-        return MatQ(tuple(tuple(-x for x in r) for r in self.rows))
-
     def __mul__(self, other: "MatQ") -> "MatQ":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
@@ -138,12 +137,6 @@ class MatQ:
 
     def row(self, i: int) -> Vec:
         return self.rows[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(min(self.shape))), Fraction(0))
 
     def _check_same_shape(self, other: "MatQ") -> None:
         if self.shape != other.shape:
@@ -216,6 +209,12 @@ def clear_denominators(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     if den == 1:
         return [[c.numerator for c in r] for r in rows], 1
     return [[c.numerator * (den // c.denominator) for c in r] for r in rows], den
+
+
+def over_common_den(rows: Sequence[tuple[Sequence[int], int]]) -> tuple[list[list[int]], int]:
+    """Integer rows over one common denominator, from (ints, den) pairs."""
+    den = lcm(*(d for _, d in rows))
+    return [[t * (den // d) for t in ints] for ints, d in rows], den
 
 
 def rational_row(ints: Sequence[int], den: int) -> Vec:
@@ -440,12 +439,17 @@ class RowSolver:
     def solve(self, v: Sequence) -> Vec | None:
         """Coefficients x with x @ basis = v, or None if v is outside the span."""
         (ints,), den = clear_denominators((v,))
-        return self.solve_ints(ints, den)
+        sol = self.solve_ints(ints, den)
+        return None if sol is None else rational_row(*sol)
 
-    def solve_ints(self, v: Sequence[int], den: int = 1) -> Vec | None:
-        """`solve` for the vector v / den, with v integral."""
+    def solve_ints(self, v: Sequence[int], den: int = 1) -> tuple[list[int], int] | None:
+        """`solve` for the vector v / den, with v integral.
+
+        The coefficients come back as integers over one denominator: (x, d)
+        with (x / d) @ basis = v / den.
+        """
         if self._nrows == 0:
-            return () if not any(v) else None
+            return ([], 1) if not any(v) else None
         p = self._den
         residual = [p * x for x in v]
         coeffs = [0] * self._nrows
@@ -458,7 +462,7 @@ class RowSolver:
                     coeffs[j] += c * x
         if any(residual):
             return None
-        return rational_row(coeffs, den * p)
+        return coeffs, den * p
 
 
 def solve_row(basis: MatQ, v: Sequence) -> Vec | None:

@@ -210,8 +210,12 @@ SEMISIMPLE_POOL = (
 
 
 def product_pair() -> StructureAlgebra:
-    return product_algebra(cyclic_group_algebra(2), poly_quotient_algebra(
-        PolyQ.make([-2, 0, 1]), name="Q(sqrt2)"), name="QC2xQsqrt2")
+    parts = [
+        cyclic_group_algebra(2),
+        poly_quotient_algebra(PolyQ.make([-2, 0, 1]), name="Q(sqrt2)"),
+    ]
+    labels = [f"{s}.{side}" for p, side in zip(parts, "lr") for s in p.basis_labels]
+    return product_algebra(parts, name="QC2xQsqrt2", labels=labels)
 
 
 @dataclass(frozen=True)
@@ -251,12 +255,10 @@ def integers_order() -> OrderRing:
 
 def split_integers_order(k: int) -> OrderRing:
     """Z^k with componentwise multiplication inside Q^k."""
-    alg = rational_algebra()
-    for _ in range(k - 1):
-        alg = product_algebra(alg, rational_algebra())
-    labels = tuple(f"e{i}" for i in range(k))
-    renamed = StructureAlgebra(f"Q^{k}", labels, alg.unit, alg.table)
-    return build_order(renamed, name=f"Z^{k}")
+    alg = product_algebra(
+        [rational_algebra()] * k, name=f"Q^{k}", labels=[f"e{i}" for i in range(k)]
+    )
+    return build_order(alg, name=f"Z^{k}")
 
 
 def lipschitz_order() -> OrderRing:
@@ -296,11 +298,7 @@ def seeded_semiprime_order(
             cand = rational_algebra()
         blocks.append(cand)
         used += cand.dim
-    alg = blocks[0]
-    for b in blocks[1:]:
-        alg = product_algebra(alg, b)
-    labels = tuple(f"g{i}" for i in range(alg.dim))
-    alg = StructureAlgebra(f"blocks{seed}", labels, alg.unit, alg.table)
+    alg = product_algebra(blocks, name=f"blocks{seed}", labels=[f"g{i}" for i in range(used)])
     u = random_unimodular(alg.dim, rng)
     scrambled = change_basis(alg, u, name=f"order{seed}")
     return build_order(scrambled, name=f"order{seed}")
@@ -322,11 +320,9 @@ def padded_split_embedding(seed: int):
     assign = list(range(k)) + [rng.randrange(k) for _ in range(pad)]
     rng.shuffle(assign)
     order = integers_order() if k == 1 else split_integers_order(k)
-    alg = rational_algebra()
-    for _ in range(total - 1):
-        alg = product_algebra(alg, rational_algebra())
-    labels = tuple(f"e{i}" for i in range(total))
-    alg = StructureAlgebra(f"Q^{total}", labels, alg.unit, alg.table)
+    alg = product_algebra(
+        [rational_algebra()] * total, name=f"Q^{total}", labels=[f"e{i}" for i in range(total)]
+    )
     rows = [
         [1 if assign[slot] == i else 0 for slot in range(total)]
         for i in range(k)

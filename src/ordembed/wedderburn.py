@@ -47,6 +47,8 @@ from .linalg import (
     mat_unvec,
     mat_vec_of,
     op_apply,
+    over_common_den,
+    rational_row,
     row_times_mat,
     solve_row,
 )
@@ -555,29 +557,29 @@ def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAl
 
     The identity must lie in the span (it becomes the unit). Each matrix is
     cleared to integers over its denominator once; the k^2 products are
-    integer matrix products.
+    integer matrix products, solved in integers, and the table is built
+    from those integers over one common denominator.
     """
     if not mats:
         raise DimensionMismatch("empty matrix basis")
-    d = mats[0].nrows
+    d, k = mats[0].nrows, len(mats)
     solver = RowSolver(MatQ(tuple(mat_vec_of(m) for m in mats)))
     ints = [clear_denominators(m.rows) for m in mats]
-    table = []
+    coords = []
     for x, x_den in ints:
-        row = []
         for y, y_den in ints:
             prod = [t for r in int_matmul(x, y, d) for t in r]
-            coords = solver.solve_ints(prod, x_den * y_den)
-            if coords is None:
+            sol = solver.solve_ints(prod, x_den * y_den)
+            if sol is None:
                 raise DimensionMismatch("matrix list not closed under products")
-            row.append(coords)
-        table.append(tuple(row))
-    unit_coords = solver.solve_ints(int_identity_vec(d))
-    if unit_coords is None:
+            coords.append(sol)
+    unit = solver.solve_ints(int_identity_vec(d))
+    if unit is None:
         raise DimensionMismatch("identity matrix outside the span")
-    alg = StructureAlgebra(
-        name, tuple(f"m{i}" for i in range(len(mats))), unit_coords,
-        tuple(table),
+    flat, den = over_common_den(coords)
+    alg = StructureAlgebra.from_ints(
+        name, tuple(f"m{i}" for i in range(k)), rational_row(*unit), den,
+        [flat[i * k:(i + 1) * k] for i in range(k)],
     )
     return alg, tuple(mats)
 

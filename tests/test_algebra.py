@@ -91,12 +91,12 @@ def test_minimal_polynomial_of_matrix_idempotent():
 def test_centre_dimensions():
     assert centre(matrix_algebra(2)).dim == 1
     assert centre(cyclic_group_algebra(4)).dim == 4
-    both = product_algebra(cyclic_group_algebra(2), cyclic_group_algebra(2))
+    both = product_algebra([cyclic_group_algebra(2), cyclic_group_algebra(2)])
     assert centre(both).dim == 4
 
 
 def test_centre_of_product_separates_factors():
-    p = product_algebra(matrix_algebra(2), matrix_algebra(2))
+    p = product_algebra([matrix_algebra(2), matrix_algebra(2)])
     z = centre(p)
     assert z.dim == 2
     assert z.contains_vec(p.unit)
@@ -170,7 +170,7 @@ def test_annihilator_of_whole_algebra_is_zero():
 
 
 def test_annihilator_in_split_product():
-    p = product_algebra(cyclic_group_algebra(1), cyclic_group_algebra(1), name="QxQ")
+    p = product_algebra([cyclic_group_algebra(1), cyclic_group_algebra(1)], name="QxQ")
     first = Subspace.from_rows(2, [unit_vec(2, 0)])
     ann = left_annihilator(p, first)
     assert ann.basis.rows == (unit_vec(2, 1),)
@@ -359,8 +359,7 @@ def test_associativity_is_checked_on_every_triple(tmp_path):
         build_algebra(m9.name, m9.basis_labels, m9.unit, table)
     assert info.value.triple == (1, 9, 2)
 
-    unchecked = StructureAlgebra("M9-bad", m9.basis_labels, m9.unit,
-                                 tuple(tuple(row) for row in table))
+    unchecked = StructureAlgebra.from_table("M9-bad", m9.basis_labels, m9.unit, table)
     path = tmp_path / "m9-bad.json"
     path.write_text(json.dumps(algebra_to_doc(unchecked)))
     text, code = run_report("decompose", ["--algebra", str(path)])
@@ -383,8 +382,8 @@ def tables_and_elements(draw):
         return tuple(F(draw(wide_entries)) for _ in range(n))
 
     table = tuple(tuple(product() for _ in range(n)) for _ in range(n))
-    alg = StructureAlgebra("T", tuple(f"b{i}" for i in range(n)), (F(1),) + (F(0),) * (n - 1),
-                           table)
+    alg = StructureAlgebra.from_table("T", tuple(f"b{i}" for i in range(n)),
+                                      (F(1),) + (F(0),) * (n - 1), table)
     u, v, a = (tuple(draw(wide_entries) for _ in range(n)) for _ in range(3))
     return alg, u, v, a
 
@@ -437,7 +436,7 @@ def scrambled_products(draw):
     """A product of one or two sample blocks on a scaled unimodular basis."""
     blocks = [BLOCKS[i]() for i in draw(st.lists(st.integers(0, len(BLOCKS) - 1),
                                                  min_size=1, max_size=2))]
-    alg = blocks[0] if len(blocks) == 1 else product_algebra(*blocks)
+    alg = product_algebra(blocks)
     n = alg.dim
     u = random_unimodular(n, random.Random(draw(st.integers(0, 10 ** 6))))
     scales = [F(draw(st.integers(1, 5)), draw(st.integers(1, 7))) for _ in range(n)]
@@ -600,8 +599,7 @@ def test_associativity_check_names_the_first_failing_triple(block, data):
         prod = list(table[i][j])
         prod[m] += F(data.draw(wide_entries))
         table[i][j] = tuple(prod)
-    corrupted = StructureAlgebra("X", alg.basis_labels, alg.unit,
-                                 tuple(tuple(row) for row in table))
+    corrupted = StructureAlgebra.from_table("X", alg.basis_labels, alg.unit, table)
     expected = first_failing_triple(corrupted)
     if expected is None:
         _check_associativity(corrupted)
@@ -609,3 +607,35 @@ def test_associativity_check_names_the_first_failing_triple(block, data):
         with pytest.raises(NotAssociative) as info:
             _check_associativity(corrupted)
         assert info.value.triple == expected
+
+
+@pytest.mark.parametrize("block", range(len(BLOCKS)))
+def test_equal_tables_give_equal_algebras(block):
+    # Each constructor stores the same integers over the same least denominator.
+    a = BLOCKS[block]()
+    same = (
+        load_algebra(algebra_to_doc(a)),
+        induced_algebra(a, MatQ.identity(a.dim), name=a.name, unit_hint=a.unit,
+                        labels=a.basis_labels),
+        product_algebra([a], name=a.name, labels=a.basis_labels),
+    )
+    for b in same:
+        assert b == a and hash(b) == hash(a)
+
+
+def test_product_multiplies_blockwise():
+    halves = change_basis(cyclic_group_algebra(2), fmat((F(1, 2), 0), (0, F(1, 2))))
+    thirds = change_basis(quaternion_algebra(-1, -1), MatQ.identity(4).scale(F(1, 3)))
+    parts = [halves, matrix_algebra(2), thirds]
+    p = product_algebra(parts)
+    assert (halves.den, thirds.den, p.den) == (2, 3, 6)
+    assert p.basis_labels[:3] == ("p0.f0", "p0.f1", "p1.e00")
+    rng = random.Random(5)
+    u, v = ([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p.dim)] for _ in range(2))
+    expected, start = [], 0
+    for part in parts:
+        block = slice(start, start + part.dim)
+        expected += part.mul(u[block], v[block])
+        start += part.dim
+    assert p.mul(u, v) == tuple(expected)
+    assert p.unit == halves.unit + matrix_algebra(2).unit + thirds.unit

@@ -7,13 +7,14 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ordembed
 from ordembed import criteria, embeddings, wedderburn
-from ordembed.algebra import algebra_to_doc, load_order, order_to_doc
+from ordembed.algebra import StructureAlgebra, algebra_to_doc, load_order, order_to_doc
 from ordembed.cli import CORPUS_DIR, main, run_report
 from ordembed.criteria import order_facts
 from ordembed.embeddings import (
@@ -323,6 +324,82 @@ def test_unsaturated_minimal_prime_fails_its_certificate(monkeypatch):
     error = json.loads(text)["report"]["error"]
     assert error["type"] == "CertificateFailure"
     assert "not saturated" in error["message"]
+
+
+def certificate_error(text, code):
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    return error["message"]
+
+
+def test_projection_outside_its_block_fails_its_certificate(monkeypatch):
+    # The first component's idempotent becomes the whole unit, so a central
+    # projection leaves its block. The check is a raise, not an assert, so
+    # it holds under `python -O` too.
+    original = embeddings._product_decomposition
+
+    def leaky(parts, *, name):
+        dec = original(parts, name=name)
+        first = replace(dec.components[0], idempotent=dec.parent.unit)
+        return replace(dec, components=(first,) + dec.components[1:])
+
+    monkeypatch.setattr(embeddings, "_product_decomposition", leaky)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "leaves its own block" in certificate_error(text, code)
+
+
+def test_redundant_component_after_reduction_fails_its_certificate(monkeypatch, tmp_path):
+    # Z into M2(Q) x M2(Q) by scalars: either component alone is injective.
+    # Each family projects to zero the first time it is tried, so the greedy
+    # pass keeps both components and the irredundance re-check must object.
+    m2 = matrix_algebra(2)
+    doc = {
+        "domain": order_to_doc(integers_order()),
+        "codomain": [algebra_to_doc(m2)] * 2,
+        "map": [["1", "0", "0", "1", "1", "0", "0", "1"]],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    original = embeddings._project_rows
+    tried = set()
+
+    def late(codomain, rows, keep):
+        out = original(codomain, rows, keep)
+        if tuple(keep) in tried:
+            return out
+        tried.add(tuple(keep))
+        return MatQ(tuple(tuple(0 * x for x in r) for r in out.rows))
+
+    monkeypatch.setattr(embeddings, "_project_rows", late)
+    text, code = run_report("minimize", ["--embedding", str(path)])
+    assert "redundant after reduction" in certificate_error(text, code)
+
+
+def test_minimization_that_does_not_shrink_fails_its_certificate(monkeypatch):
+    # A step that hands back its own input would loop forever; the strict
+    # shrink check stops it.
+    original = embeddings.minimize_step
+
+    def stalled(f, *args, **kwargs):
+        return replace(original(f, *args, **kwargs), embedding=f)
+
+    monkeypatch.setattr(embeddings, "minimize_step", stalled)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "did not shrink" in certificate_error(text, code)
+
+
+def test_reports_never_read_the_rational_table(monkeypatch):
+    # The integer table is the stored form; only documents read `table`.
+    def unreadable(self):
+        raise AssertionError("rational table read outside the document boundary")
+
+    monkeypatch.setattr(StructureAlgebra, "table", property(unreadable))
+    text, code = run_report("analyze", order_arg("d4") + ["--seed", "0", "--budget", "1000"])
+    assert code == 0
+    assert text == (CORPUS / "golden" / "d4.analyze.json").read_text()
+    _, code = run_report("classify", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert code == 0
 
 
 def test_budget_exhaustion_exits_two(tmp_path):

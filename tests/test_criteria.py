@@ -50,7 +50,7 @@ def triangular_order():
 
 
 def mixed_product_order():
-    alg = product_algebra(rational_algebra(), matrix_algebra(2), name="QxM2")
+    alg = product_algebra([rational_algebra(), matrix_algebra(2)], name="QxM2")
     return build_order(alg, name="ZxM2(Z)")
 
 

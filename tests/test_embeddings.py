@@ -356,7 +356,7 @@ def test_minimize_scalars_in_matrix_algebra():
 def test_minimize_crt_through_matrix_blocks():
     order = crt_order()
     m2 = matrix_algebra(2)
-    prod = product_algebra(m2, m2, name="M2xM2")
+    prod = product_algebra([m2, m2], name="M2xM2")
     dec = decompose(prod)
     rows = [list(prod.unit), [1, 0, 0, 1, -1, 0, 0, -1]]
     f = build_embedding(order, dec, MatQ.from_rows(rows))
@@ -373,7 +373,7 @@ def test_minimize_crt_through_matrix_blocks():
 def test_minimize_split_scalar_blocks():
     order = split_integers_order(2)
     m2 = matrix_algebra(2)
-    prod = product_algebra(m2, m2, name="M2xM2")
+    prod = product_algebra([m2, m2], name="M2xM2")
     dec = decompose(prod)
     rows = [
         [1, 0, 0, 1, 0, 0, 0, 0],
@@ -410,7 +410,7 @@ def test_minimize_step_fixes_elementary_embeddings():
 def test_collection_entries_pair_primes_with_carriers():
     order = crt_order()
     m2 = matrix_algebra(2)
-    prod = product_algebra(m2, m2, name="M2xM2")
+    prod = product_algebra([m2, m2], name="M2xM2")
     rows = [list(prod.unit), [1, 0, 0, 1, -1, 0, 0, -1]]
     f = build_embedding(order, decompose(prod), MatQ.from_rows(rows))
     step = minimize_step(f, minimal_primes(f.domain), BUDGET)
@@ -501,7 +501,7 @@ def test_chain_is_empty_for_elementary_embeddings():
 def test_chain_reduces_before_minimizing():
     order = integers_order()
     m2 = matrix_algebra(2)
-    prod = product_algebra(m2, rational_algebra(), name="M2xQ")
+    prod = product_algebra([m2, rational_algebra()], name="M2xQ")
     dec = decompose(prod)
     rows = [list(prod.unit)]
     f = build_embedding(order, dec, MatQ.from_rows(rows))

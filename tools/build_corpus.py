@@ -64,7 +64,9 @@ def corpus_embeddings(orders: dict) -> dict:
     scalar = build_embedding(
         orders["z"], decompose(m2), MatQ.from_rows([m2.unit])
     )
-    prod = product_algebra(m2, m2, name="M2xM2")
+    prod = product_algebra(
+        [m2, m2], name="M2xM2", labels=[f"{s}.{side}" for side in "lr" for s in m2.basis_labels]
+    )
     dec = decompose(prod)
     crt_demo = build_embedding(
         orders["crt"],
