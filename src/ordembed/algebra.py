@@ -36,7 +36,7 @@ from .linalg import (
     echelon_closure,
     echelon_insert,
     inverse,
-    kernel,
+    kernel_rows,
     lattice_intersect_subspace,
     over_common_den,
     rank,
@@ -168,13 +168,11 @@ class StructureAlgebra:
         traces = self._int_traces
         return Fraction(sum(x * traces[i] for i, x in terms), self.den * a_den)
 
-    def trace_form(self) -> MatQ:
-        """Gram matrix of the trace form: entry (i, j) is trace(b_i b_j)."""
-        den, traces = self.den, self._int_traces
-        return MatQ(tuple(
-            tuple(Fraction(sum(c * traces[m] for m, c in prod), den * den) for prod in row)
-            for row in self.products
-        ))
+    def trace_form(self) -> tuple[list[list[int]], int]:
+        """Gram matrix of the trace form, (rows, den): trace(b_i b_j) is rows[i][j] / den."""
+        traces = self._int_traces
+        return [[sum(c * traces[m] for m, c in prod) for prod in row]
+                for row in self.products], self.den * self.den
 
     def minimal_polynomial(self, a: Sequence) -> PolyQ:
         """Monic generator of {p : p(a) = 0}.
@@ -450,7 +448,7 @@ def centre(a: StructureAlgebra) -> Subspace:
                 rows[tuple(r)] = None
     if not rows:
         return Subspace.full(n)
-    return Subspace.from_rows(n, kernel(MatQ(tuple(rows))).rows)
+    return Subspace.from_rows(n, kernel_rows(list(rows), n))
 
 
 def left_annihilator(a: StructureAlgebra, s: Subspace) -> Subspace:
@@ -469,8 +467,8 @@ def _annihilator(a: StructureAlgebra, s: Subspace, *, left: bool) -> Subspace:
         raise DimensionMismatch("subspace ambient vs algebra dim")
     if s.dim == 0:
         return Subspace.full(a.dim)
-    rows = [r for v in s.basis.rows for r in a._int_mult_op(v, left=not left)[0]]
-    return Subspace.from_rows(a.dim, kernel(MatQ(tuple(map(tuple, rows)))).rows)
+    rows = [r for v in s.rows for r in a._int_mult_op(v, left=not left)[0]]
+    return Subspace.from_rows(a.dim, kernel_rows(rows, a.dim))
 
 
 def subspace_product(a: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -493,7 +491,7 @@ def two_sided_ideal_subspace(a: StructureAlgebra, gens: Iterable[Sequence]) -> S
             yield a.mul_terms(((i, 1),), terms)
             yield a.mul_terms(terms, ((i, 1),))
 
-    seeds, _ = clear_denominators([vec(g) for g in gens])
+    seeds, _ = clear_denominators(list(gens))
     return Subspace.from_rows(n, echelon_closure(seeds, products))
 
 
@@ -603,12 +601,11 @@ def build_ideal(parent: OrderRing, rows: Iterable[Sequence[int]]) -> LatticeIdea
     lat = Lattice.from_rows(n, rows)
     alg = parent.coord_algebra
     for g in lat.basis:
-        gv = vec(g)
         for i in range(n):
             e = alg.basis_vec(i)
-            if not lat.contains_vec(alg.mul(e, gv)):
+            if not lat.contains_vec(alg.mul(e, g)):
                 raise ParseError("ideal rows not closed under left multiplication")
-            if not lat.contains_vec(alg.mul(gv, e)):
+            if not lat.contains_vec(alg.mul(g, e)):
                 raise ParseError("ideal rows not closed under right multiplication")
     sat = _saturate_in_order(lat)
     return LatticeIdeal(parent, lat, saturated=(sat.basis == lat.basis))
@@ -634,10 +631,9 @@ def two_sided_ideal_generated(parent: OrderRing, gens: Iterable[Sequence[int]]) 
         rows = [list(r) for r in current.basis]
         new_rows = [list(r) for r in current.basis]
         for g in rows:
-            gv = vec(g)
             for i in range(n):
                 e = alg.basis_vec(i)
-                for p in (alg.mul(e, gv), alg.mul(gv, e)):
+                for p in (alg.mul(e, g), alg.mul(g, e)):
                     new_rows.append([int(x) for x in p])
         bigger = Lattice.from_rows(n, new_rows)
         if bigger.basis == current.basis:

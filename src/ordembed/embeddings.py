@@ -63,12 +63,13 @@ from .linalg import (
     Subspace,
     Vec,
     clear_denominators,
+    int_kernel,
+    int_matmul,
     inverse,
+    kernel_rows,
     lattice_intersect_subspace,
-    left_kernel,
     mat_vec_of,
     op_apply,
-    primitive_int_row,
     rank,
     row_times_mat,
     unit_vec,
@@ -79,8 +80,8 @@ from .wedderburn import (
     SemisimpleDecomposition,
     SimpleComponent,
     SimplicityResult,
-    _coords_to_matrix,
     certify_simple_module,
+    combination_image,
     decompose,
     isotypic_split,
     operator_algebra,
@@ -285,7 +286,7 @@ def _nilpotent_witness(order: OrderRing, exc: NotSemisimple) -> tuple[int, ...]:
     rad = exc.radical
     if rad is None or rad.dim == 0:
         raise CertificateFailure(message="a non-semisimple span carries no radical")
-    witness = primitive_int_row(rad.basis.rows[0])
+    witness = rad.rows[0]
     alg = order.coord_algebra
     power = vec(witness)
     for _ in range(alg.dim):
@@ -557,7 +558,7 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
         if status.kind == "split" and status.idempotents:
             n = len(status.idempotents)
             for eps in status.idempotents:
-                local = Subspace.image(_coords_to_matrix(comp.to_parent(eps), comm_mats))
+                local = combination_image([comp.to_parent(eps)], comm_mats)
                 if local.dim * n != w.dim:
                     raise CertificateFailure(
                         {"block_dim": local.dim, "blocks": n, "part_dim": w.dim},
@@ -574,13 +575,9 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
 
 
 def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeIdeal:
-    n = order.rank
-    stacked = MatQ(tuple(mat_vec_of(m) for m in left_mats))
-    ker = left_kernel(stacked)
-    lat = lattice_intersect_subspace(
-        Lattice.standard(n), Subspace.from_rows(n, ker.rows)
-    )
-    ideal = build_ideal(order, lat.basis)
+    # integer x with sum_t x[t] * left_mats[t] = 0, the matrices over one denominator
+    stacked, _ = clear_denominators([mat_vec_of(m) for m in left_mats])
+    ideal = build_ideal(order, int_kernel(stacked))
     if not ideal.saturated:
         raise CertificateFailure(message="annihilator ideal is not saturated")
     return ideal
@@ -723,14 +720,6 @@ def _product_decomposition(parts: Sequence[tuple], *, name: str) -> SemisimpleDe
     return SemisimpleDecomposition(product, tuple(idempotents), tuple(components))
 
 
-def _prime_action_image(fac: LadderFactor, prime: LatticeIdeal) -> Subspace:
-    rows = []
-    for g in prime.lattice.basis:
-        m = _coords_to_matrix(g, fac.left_action)
-        rows.extend(m.transpose().rows)
-    return Subspace.from_rows(fac.carrier.dim, rows)
-
-
 def minimize_step(
     f: Embedding,
     primes: tuple[LatticeIdeal, ...],
@@ -801,7 +790,7 @@ def minimize_step(
     for k in selected_keys:
         fac = factors[k]
         for pi in range(len(primes)):
-            image = _prime_action_image(fac, primes[pi])
+            image = combination_image(primes[pi].lattice.basis, fac.left_action)
             if pi == prime_of[k]:
                 assert image.dim == 0, "matched prime annihilates its carrier"
             else:
@@ -867,7 +856,9 @@ def minimize_step(
         per_basis = []
         for t in range(domain.rank):
             coords = solver.solve(mat_vec_of(fac.left_action[t]))
-            assert coords is not None, "left action commutes with the right action"
+            if coords is None:
+                raise CertificateFailure({"factor": list(k), "basis": t},
+                                         "left action does not commute with the right action")
             per_basis.append(coords)
         coords_cache[k] = per_basis
 
@@ -892,16 +883,14 @@ def minimize_step(
     # annihilators of phi(p) are exactly the matched block
     for pos, k in enumerate(selected_keys):
         prime = primes[prime_of[k]]
-        img = Subspace.from_rows(
-            b_dec.parent.dim,
-            [row_times_mat([Fraction(x) for x in g], phi_map)
-             for g in prime.lattice.basis],
-        )
+        img = Subspace.from_rows(b_dec.parent.dim, int_matmul(
+            prime.lattice.basis, clear_denominators(phi_map.rows)[0], b_dec.parent.dim))
         block = b_dec.components[pos].subspace()
         l_ann = left_annihilator(b_dec.parent, img)
         r_ann = right_annihilator(b_dec.parent, img)
-        assert l_ann.basis.rows == block.basis.rows, "collection embedding is natural"
-        assert r_ann.basis.rows == block.basis.rows, "collection embedding is natural"
+        if not (l_ann == block and r_ann == block):
+            raise CertificateFailure({"factor": pos},
+                                     "collection embedding is not natural")
 
     carriers_by_component: dict[int, list[tuple[int, int]]] = {}
     for k in order_keys:
@@ -911,7 +900,9 @@ def minimize_step(
         stacked = MatQ(tuple(
             r for k in keys for r in factors[k].carrier.basis.rows
         ))
-        assert stacked.nrows == f.codomain.components[i].dim
+        if stacked.nrows != f.codomain.components[i].dim:
+            raise CertificateFailure({"component": i, "carrier_dim": stacked.nrows},
+                                     "stacked carriers do not fill their component")
         proj_data[i] = (keys, inverse(stacked))
 
     alpha_rows = []
@@ -1025,11 +1016,9 @@ def _unique_perfect_matching(candidates: Sequence[Sequence[int]]) -> tuple[int, 
 
 def _preimage_lattice(f: Embedding, target: Subspace) -> Lattice:
     n = f.domain.rank
-    reduced = MatQ(tuple(target.reduce_vec(f.map.row(t)) for t in range(n)))
-    ker = left_kernel(reduced)
-    return lattice_intersect_subspace(
-        Lattice.standard(n), Subspace.from_rows(n, ker.rows)
-    )
+    # integer x with sum_t x[t] * f(b_t) in target
+    reduced, _ = clear_denominators([target.reduce_vec(f.map.row(t)) for t in range(n)])
+    return Lattice(n, int_kernel(reduced))
 
 
 def classify(
@@ -1059,10 +1048,8 @@ def classify(
     ann_pairs = []
     candidates = []
     for p in primes:
-        img = Subspace.from_rows(
-            parent.dim,
-            [row_times_mat([Fraction(x) for x in g], f.map) for g in p.lattice.basis],
-        )
+        img = Subspace.from_rows(parent.dim, int_matmul(
+            p.lattice.basis, clear_denominators(f.map.rows)[0], parent.dim))
         l_ann = left_annihilator(parent, img)
         r_ann = right_annihilator(parent, img)
         ann_pairs.append((img, l_ann, r_ann))
@@ -1081,11 +1068,8 @@ def classify(
         comp = comps[ci]
         block = comp.subspace()
         img, l_ann, r_ann = ann_pairs[pi]
-        natural_here = (
-            l_ann.basis.rows == block.basis.rows
-            and r_ann.basis.rows == block.basis.rows
-        )
-        two_sided = two_sided_ideal_subspace(parent, img.basis.rows) \
+        natural_here = l_ann == block and r_ann == block
+        two_sided = two_sided_ideal_subspace(parent, img.rows) \
             if img.dim else Subspace.zero(parent.dim)
         preimage = _preimage_lattice(f, two_sided)
         contraction_ok = preimage.basis == p.lattice.basis
@@ -1105,10 +1089,8 @@ def classify(
         elif result.kind == "not_simple":
             simple_here = False
             assert result.witness is not None
-            witness = Subspace.from_rows(
-                parent.dim,
-                [row_times_mat(r, comp.block_rows) for r in result.witness.basis.rows],
-            )
+            witness = Subspace.from_rows(parent.dim, int_matmul(
+                result.witness.rows, clear_denominators(comp.block_rows.rows)[0], parent.dim))
         else:
             simple_here = None
         reports.append(PrimeReport(
@@ -1292,10 +1274,12 @@ def reduce_semiprimary(
         dec = decompose(target, seed=seed)
         emb = build_embedding(order, dec, m)
         return SemiprimaryReduction(emb, MatQ.identity(target.dim), rad)
-    reduced_rows = MatQ(tuple(rad.reduce_vec(m.row(t)) for t in range(order.rank)))
-    meets = left_kernel(reduced_rows)
-    if meets.nrows:
-        raise DomainNotSemiprime(witness=primitive_int_row(meets.rows[0]))
+    reduced, _ = clear_denominators([rad.reduce_vec(m.row(t)) for t in range(order.rank)])
+    meets = kernel_rows(list(zip(*reduced)), order.rank)  # x with x @ reduced = 0
+    if meets:
+        # the first kernel vector, primitive, with its first nonzero entry positive
+        sign = 1 if next(x for x in meets[0] if x) > 0 else -1
+        raise DomainNotSemiprime(witness=tuple(sign * x for x in meets[0]))
     quotient, projection = semisimple_quotient(target)
     new_map = MatQ(tuple(
         row_times_mat(m.row(t), projection) for t in range(order.rank)

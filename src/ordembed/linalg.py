@@ -3,8 +3,9 @@
 Conventions used across the workbench:
 
 * vectors are rows (tuples of Fraction, or of int for lattices);
-* a `Subspace` is canonically the RREF of any spanning set, so two
-  subspaces are equal iff their basis matrices are equal entrywise;
+* a `Subspace` stores the RREF of any spanning set, each row scaled to a
+  primitive integer row with a positive pivot, so two subspaces are equal
+  iff their rows are; `basis` (the `Fraction` RREF) and `pivots` are views;
 * a `Lattice` is canonically the row Hermite normal form (pivots positive,
   entries above a pivot reduced into [0, pivot));
 * operators on a coordinate space are matrices acting on column vectors,
@@ -13,11 +14,11 @@ Conventions used across the workbench:
 The exact kernels work in integers between a rational entry and a rational
 exit, and every elimination is one fraction-free step (`_eliminate`):
 cross-multiplication with the pivot row, then division by the content.
-`rref` reads each row as a primitive integer vector straight from the
-numerators and denominators (an `int` entry is taken as it is) and divides
-by the pivot only when it builds the result. `MatQ.__mul__` clears one
+`rref` reads each row as integers straight from the numerators and
+denominators (an `int` row is taken as it is) and divides by the pivot only
+when it builds the result. `MatQ.__mul__` clears one
 common denominator per operand, multiplies integers and skips zeros. Every
-entry these kernels return is a `Fraction`, so callers never see an `int`.
+entry these two return is a `Fraction`.
 `RowSolver` keeps the integer rows of one elimination of [basis | I] over a
 common pivot and solves each vector in integers: `solve_ints` takes the
 vector as integers over a denominator and returns the coefficients the same
@@ -25,16 +26,20 @@ way, so a caller that builds structure constants never leaves `int`.
 `echelon_insert` grows an integer echelon one row at a time, and
 `echelon_closure` closes a span under linear maps through it; the algebra
 layer builds operator algebras, two-sided ideals and minimal polynomials on
-these two. Spans read off an operator go through `Subspace.image`.
+these two, and `kernel_rows` is the null space of integer rows in integers.
+`Subspace.from_rows` takes `int` rows as they are, and the subspace queries
+answer in integers: against an RREF basis a member's coordinates are its
+pivot entries. Spans read off an operator go through `Subspace.image`.
 `Lattice.coords_of` back-substitutes in integers against the HNF rows; a
 vector with a non-integral entry is outside the lattice at once, and
-`lattice_intersect_subspace` clears the normals once and intersects in
-integers.
+`lattice_intersect_subspace` takes its normals from the subspace's integer
+rows and intersects in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -61,18 +66,6 @@ def zero_vec(n: int) -> Vec:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
-
-
-def is_zero_vec(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class MatQ:
 
     @property
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
+        return not any(any(r) for r in self.rows)
 
     def __add__(self, other: "MatQ") -> "MatQ":
         self._check_same_shape(other)
@@ -114,7 +107,7 @@ class MatQ:
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         self._check_same_shape(other)
-        return MatQ(tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)))
+        return MatQ(tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(self.rows, other.rows)))
 
     def __mul__(self, other: "MatQ") -> "MatQ":
         if self.ncols != other.nrows:
@@ -143,13 +136,6 @@ class MatQ:
             raise DimensionMismatch(f"shape {self.shape} vs {other.shape}")
 
 
-def mat_vstack(*mats: MatQ) -> MatQ:
-    width = {m.ncols for m in mats if m.nrows}
-    if len(width) > 1:
-        raise DimensionMismatch("vstack width mismatch")
-    return MatQ(tuple(r for m in mats for r in m.rows))
-
-
 def mat_hstack(*mats: MatQ) -> MatQ:
     heights = {m.nrows for m in mats}
     if len(heights) != 1:
@@ -160,11 +146,12 @@ def mat_hstack(*mats: MatQ) -> MatQ:
 def row_times_mat(v: Sequence, m: MatQ) -> Vec:
     if len(v) != m.nrows:
         raise DimensionMismatch("vector/matrix size mismatch")
-    out = [Fraction(0)] * m.ncols
+    out = [_ZERO] * m.ncols
     for a, row in zip(v, m.rows):
         if a:
             for j, b in enumerate(row):
-                out[j] += Fraction(a) * b
+                if b:
+                    out[j] += a * b
     return tuple(out)
 
 
@@ -172,7 +159,7 @@ def op_apply(m: MatQ, v: Sequence) -> Vec:
     """Apply a column-convention operator to a row vector: (m @ v^T)^T."""
     if len(v) != m.ncols:
         raise DimensionMismatch("operator/vector size mismatch")
-    return tuple(vec_dot(row, vec(v)) for row in m.rows)
+    return tuple(sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in m.rows)
 
 
 def kron(a: MatQ, b: MatQ) -> MatQ:
@@ -224,18 +211,12 @@ def rational_row(ints: Sequence[int], den: int) -> Vec:
     return tuple(Fraction(t, den) if t else _ZERO for t in ints)
 
 
-def primitive_int_row(row: Sequence) -> IntVec:
-    """The primitive integer multiple of a row whose first nonzero entry is positive.
-
-    Entries may be `int` or `Fraction`.
-    """
-    (ints,), _ = clear_denominators((row,))
-    g = gcd(*ints)
-    if next((c for c in ints if c), 0) < 0:
-        g = -g
-    if g not in (0, 1):
-        ints = [c // g for c in ints]
-    return tuple(ints)
+def _int_vec(v: Sequence) -> tuple[Sequence[int], int]:
+    """(ints, den) with v == ints / den; a row of `int`s comes back as it is, over 1."""
+    if all(type(x) is int for x in v):
+        return v, 1
+    den = lcm(*[x.denominator for x in v])
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def _extract_content(row: list[int]) -> list[int]:
@@ -348,11 +329,11 @@ def int_identity_vec(d: int) -> list[int]:
 def rref(m: MatQ) -> RrefResult:
     """Reduced row echelon form with pivot columns.
 
-    Integer-first: the elimination works on primitive integer rows with
+    Integer-first: the elimination works on integer rows with
     cross-multiplication and content extraction; each result entry is built
     once as Fraction(x, pivot).
     """
-    rows = [primitive_int_row(r) for r in m.rows]
+    rows = [_int_vec(r)[0] for r in m.rows]
     ncols = m.ncols
     pivots = _int_rref(rows, ncols)
     out_rows = []
@@ -367,19 +348,30 @@ def rank(m: MatQ) -> int:
     return rref(m).rank
 
 
+def kernel_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer rows spanning {x : rows @ x^T = 0}, one per free column.
+
+    The row of free column f is a positive multiple of `kernel`'s vector
+    for f, whose last nonzero entry is the 1 in f.
+    """
+    ech = list(rows)
+    pivots = _int_rref(ech, ncols)
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        used = [(r, c) for r, c in zip(ech, pivots) if r[f]]
+        scale = lcm(*(r[c] for r, c in used))
+        x = [0] * ncols
+        x[f] = scale
+        for r, c in used:
+            x[c] = -r[f] * (scale // r[c])
+        out.append(_extract_content(x))
+    return out
+
+
 def kernel(m: MatQ) -> MatQ:
     """Basis of the right null space {x : m @ x^T = 0}, one vector per row."""
-    res = rref(m)
-    piv = res.pivots
-    free = [j for j in range(m.ncols) if j not in piv]
-    rows = []
-    for f in free:
-        x = [Fraction(0)] * m.ncols
-        x[f] = Fraction(1)
-        for k, col in enumerate(piv):
-            x[col] = -res.matrix.rows[k][f]
-        rows.append(tuple(x))
-    return MatQ(tuple(rows))
+    rows = kernel_rows([_int_vec(r)[0] for r in m.rows], m.ncols)
+    return MatQ(tuple(rational_row(x, next(t for t in reversed(x) if t)) for x in rows))
 
 
 def left_kernel(m: MatQ) -> MatQ:
@@ -475,88 +467,118 @@ def solve_row(basis: MatQ, v: Sequence) -> Vec | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient held as its canonical RREF basis."""
+    """A linear subspace of Q^ambient held as its canonical primitive integer RREF rows."""
 
     ambient: int
-    basis: MatQ
+    rows: tuple[IntVec, ...]
 
     @staticmethod
-    def from_rows(ambient: int, rows: Iterable[Iterable]) -> "Subspace":
-        mat = MatQ.from_rows(rows)
-        if mat.nrows and mat.ncols != ambient:
-            raise DimensionMismatch(f"rows of width {mat.ncols} in ambient {ambient}")
-        res = rref(mat)
-        return Subspace(ambient, MatQ(res.matrix.rows[: res.rank]))
+    def from_rows(ambient: int, rows: Iterable[Sequence]) -> "Subspace":
+        """The span of rows of `int` or `Fraction` entries, in one integer elimination."""
+        ints = []
+        for r in rows:
+            if len(r) != ambient:
+                raise DimensionMismatch(f"rows of width {len(r)} in ambient {ambient}")
+            ints.append(_int_vec(r)[0])
+        pivots = _int_rref(ints, ambient)
+        out = []
+        for row, col in zip(ints, pivots):
+            g = gcd(*row) if row[col] > 0 else -gcd(*row)
+            out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+        return Subspace(ambient, tuple(out))
 
     @staticmethod
     def image(op: MatQ) -> "Subspace":
         """The column space of a column-convention operator."""
-        return Subspace.from_rows(op.nrows, op.transpose().rows)
+        return Subspace.from_rows(op.nrows, list(zip(*clear_denominators(op.rows)[0])))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, MatQ(()))
+        return Subspace(ambient, ())
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, MatQ.identity(ambient))
+        return Subspace(ambient, tuple(
+            tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        out = []
-        for r in self.basis.rows:
-            out.append(next(j for j, x in enumerate(r) if x != 0))
-        return tuple(out)
+        return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
+
+    @cached_property
+    def basis(self) -> MatQ:
+        """The RREF basis in `Fraction`s: each row over its pivot entry."""
+        return MatQ(tuple(rational_row(r, r[p]) for r, p in zip(self.rows, self.pivots)))
+
+    @cached_property
+    def _common_pivot(self) -> tuple[tuple[IntVec, ...], int]:
+        """The rows scaled to one pivot entry P, the lcm of theirs, and P: the RREF times P."""
+        p = lcm(*(r[c] for r, c in zip(self.rows, self.pivots)))
+        return tuple(r if r[c] == p else tuple(x * (p // r[c]) for x in r)
+                     for r, c in zip(self.rows, self.pivots)), p
+
+    def _residual(self, ints: Sequence[int]) -> list[int]:
+        """P * v minus the RREF rows weighted by v's pivot entries: zero iff v is a member.
+
+        In an RREF basis the coordinates of a member are its pivot entries.
+        """
+        if len(ints) != self.ambient:
+            raise DimensionMismatch("vector/ambient mismatch")
+        rows, p = self._common_pivot
+        residual = [p * x for x in ints]
+        for row, c in zip(rows, self.pivots):
+            f = ints[c]
+            if f:
+                for j, x in enumerate(row):
+                    if x:
+                        residual[j] -= f * x
+        return residual
 
     def reduce_vec(self, v: Sequence) -> Vec:
         """Residual of v after eliminating along the basis pivots."""
-        residual = list(vec(v))
-        if len(residual) != self.ambient:
-            raise DimensionMismatch("vector/ambient mismatch")
-        for row, p in zip(self.basis.rows, self.pivots):
-            c = residual[p]
-            if c:
-                for j in range(self.ambient):
-                    residual[j] -= c * row[j]
-        return tuple(residual)
+        ints, den = _int_vec(v)
+        return rational_row(self._residual(ints), den * self._common_pivot[1])
 
     def contains_vec(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce_vec(v))
+        return not any(self._residual(_int_vec(v)[0]))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient mismatch")
-        return all(self.contains_vec(r) for r in other.basis.rows)
+        return all(self.contains_vec(r) for r in other.rows)
 
     def coords_of(self, v: Sequence) -> Vec:
         """Coordinates of v in the RREF basis (pivot entries), error if outside."""
-        v = vec(v)
-        if not self.contains_vec(v):
+        ints, den = _int_vec(v)
+        if any(self._residual(ints)):
             raise ValueError("vector outside subspace")
-        return tuple(v[p] for p in self.pivots)
+        return rational_row([ints[c] for c in self.pivots], den)
 
     def lift(self, local: "Subspace") -> "Subspace":
         """The subspace of Q^ambient whose coordinates against this basis lie in local."""
-        rows = [row_times_mat(r, self.basis) for r in local.basis.rows]
-        return Subspace.from_rows(self.ambient, rows)
+        if local.ambient != self.dim:
+            raise DimensionMismatch("local ambient vs subspace dim")
+        return Subspace.from_rows(
+            self.ambient, int_matmul(local.rows, self._common_pivot[0], self.ambient))
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient mismatch")
-        return Subspace.from_rows(self.ambient, self.basis.rows + other.basis.rows)
+        return Subspace.from_rows(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces live in different ambient spaces")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
-        stacked = mat_vstack(self.basis, other.basis)
-        relations = left_kernel(stacked)
-        rows = [row_times_mat(rel[: self.dim], self.basis) for rel in relations.rows]
+        # relations x with x @ [self.rows; other.rows] = 0
+        stacked = self.rows + other.rows
+        relations = kernel_rows(list(zip(*stacked)), len(stacked))
+        rows = int_matmul([rel[: self.dim] for rel in relations], self.rows, self.ambient)
         return Subspace.from_rows(self.ambient, rows)
 
 
@@ -565,7 +587,7 @@ class Subspace:
 
 def hnf(rows: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
     """Row Hermite normal form: canonical upper-echelon basis of the row span."""
-    mat = [list(map(int, r)) for r in rows if not is_zero_vec(r)]
+    mat = [list(map(int, r)) for r in rows if any(r)]
     if not mat:
         return ()
     ncols = len(mat[0])
@@ -605,7 +627,7 @@ def int_kernel(mat: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     k = len(mat[0])
     aug = [list(mat[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
     reduced = hnf(aug)
-    out = [r[k:] for r in reduced if is_zero_vec(r[:k])]
+    out = [r[k:] for r in reduced if not any(r[:k])]
     # rows with zero data part may not be in canonical form as a set of tails
     return hnf(out)
 
@@ -621,15 +643,12 @@ class Lattice:
     def from_rows(ambient: int, rows: Iterable[Sequence]) -> "Lattice":
         int_rows = []
         for r in rows:
-            rr = []
-            for x in r:
-                f = Fraction(x)
-                if f.denominator != 1:
-                    raise ValueError("lattice rows must be integral")
-                rr.append(f.numerator)
-            if len(rr) != ambient:
+            ints, den = _int_vec(r)
+            if den != 1:
+                raise ValueError("lattice rows must be integral")
+            if len(ints) != ambient:
                 raise DimensionMismatch("row width vs ambient")
-            int_rows.append(rr)
+            int_rows.append(ints)
         return Lattice(ambient, hnf(int_rows))
 
     @staticmethod
@@ -659,14 +678,9 @@ class Lattice:
         """
         if len(v) != self.ambient:
             raise DimensionMismatch("vector/ambient mismatch")
-        residual = []
-        for x in v:
-            if type(x) is not int:
-                x = x if type(x) is Fraction else Fraction(x)
-                if x.denominator != 1:
-                    return None
-                x = x.numerator
-            residual.append(x)
+        residual, den = _int_vec(v)
+        if den != 1:
+            return None
         coeffs = []
         for row in self.basis:
             p = next(j for j, x in enumerate(row) if x)
@@ -713,12 +727,10 @@ def lattice_intersect_subspace(lat: Lattice, sub: Subspace) -> Lattice:
         raise DimensionMismatch("lattice/subspace ambient mismatch")
     if lat.is_zero or sub.dim == 0:
         return Lattice.zero(lat.ambient)
-    normals = kernel(sub.basis)  # rows w with sub.basis @ w^T = 0
-    if normals.nrows == 0:
+    normals = kernel_rows(sub.rows, sub.ambient)  # rows w with sub.rows @ w^T = 0
+    if not normals:
         return lat  # subspace is everything
-    # scaling the normals by their common denominator leaves the kernel alone
-    ints, _ = clear_denominators(normals.rows)
-    cond = int_matmul(lat.basis, list(zip(*ints)), len(ints))
+    cond = int_matmul(lat.basis, list(zip(*normals)), len(normals))
     return Lattice(lat.ambient, hnf(int_matmul(int_kernel(cond), lat.basis, lat.ambient)))
 
 

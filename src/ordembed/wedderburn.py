@@ -42,11 +42,10 @@ from .linalg import (
     echelon_closure,
     int_identity_vec,
     int_matmul,
+    kernel_rows,
     left_kernel,
-    mat_hstack,
     mat_unvec,
     mat_vec_of,
-    op_apply,
     over_common_den,
     rational_row,
     row_times_mat,
@@ -65,7 +64,8 @@ def radical(a: StructureAlgebra) -> Subspace:
     n = a.dim
     if n == 0:
         return Subspace.zero(0)
-    return Subspace.from_rows(n, left_kernel(a.trace_form()).rows)
+    gram, _ = a.trace_form()
+    return Subspace.from_rows(n, kernel_rows(list(zip(*gram)), n))
 
 
 def semisimple_quotient(a: StructureAlgebra, *, name: str | None = None) -> tuple[StructureAlgebra, MatQ]:
@@ -246,8 +246,7 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
             if len(factors) > 1:
                 idems = _crt_idempotents(block, z, factors)
                 for e in idems:
-                    e_rows = Subspace.image(block.left_mult_op(e)).basis
-                    lifted_rows = MatQ(tuple(row_times_mat(r, rows) for r in e_rows.rows))
+                    lifted_rows = Subspace.image(block.left_mult_op(e)).basis * rows
                     lifted_unit = row_times_mat(e, rows)
                     queue.append((lifted_unit, lifted_rows))
                 split_found = True
@@ -603,13 +602,14 @@ def commutant_matrices(e: OperatorAlgebra) -> tuple[MatQ, ...]:
     gens = [clear_denominators(g.rows)[0] for g in e.generators if not _is_scalar(g)]
     if not gens:
         return tuple(mat_unvec(r, d, d) for r in Subspace.full(d * d).basis.rows)
-    basis = left_kernel(MatQ(_commutator_system(gens[0])))
+    # the left kernel of a system is the kernel of its transpose
+    basis = kernel_rows(list(zip(*_commutator_system(gens[0]))), d * d)
     for g in gens[1:]:
-        xs, _ = clear_denominators(basis.rows)
         # never empty: the identity commutes with every generator
-        combos = left_kernel(MatQ(tuple(_commutator_vec(x, g) for x in xs)))
-        basis = combos * basis
-    sub = Subspace.from_rows(d * d, basis.rows)
+        system = [_commutator_vec(x, g) for x in basis]
+        combos = kernel_rows(list(zip(*system)), len(system))
+        basis = int_matmul(combos, basis, d * d)
+    sub = Subspace.from_rows(d * d, basis)
     return tuple(mat_unvec(r, d, d) for r in sub.basis.rows)
 
 
@@ -692,7 +692,7 @@ def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed
     parts = []
     covered = 0
     for comp in dec.components:
-        image = Subspace.image(_coords_to_matrix(comp.idempotent, mats))
+        image = combination_image([comp.idempotent], mats)
         if image.dim == 0:
             raise CertificateFailure(message="a nonzero idempotent matrix has zero image")
         parts.append(IsotypicPart(image, comp, image.dim))
@@ -703,24 +703,31 @@ def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed
     return tuple(parts)
 
 
-def _coords_to_matrix(coords: Sequence, mats: Sequence[MatQ]) -> MatQ:
+def combination_image(coords: Iterable[Sequence], mats: Sequence[MatQ]) -> Subspace:
+    """The span of the columns of sum_k c[k] * mats[k], over every c in coords.
+
+    Each combination is formed once, in integers: the coefficients and the
+    matrices are each cleared over one denominator, which no span notices.
+    """
     d = mats[0].nrows
-    out = MatQ.zeros(d, d)
-    for c, m in zip(coords, mats):
-        if c:
-            out = out + m.scale(c)
-    return out
+    flat, _ = clear_denominators([mat_vec_of(m) for m in mats])
+    sums = int_matmul(clear_denominators(list(coords))[0], flat, d * d)
+    return Subspace.from_rows(d, [s[j::d] for s in sums for j in range(d)])
 
 
 def restrict_op(op: MatQ, w: Subspace) -> MatQ:
-    """Matrix of a column-convention operator restricted to an invariant subspace."""
-    solver = RowSolver(w.basis)
+    """Matrix of a column-convention operator restricted to an invariant subspace.
+
+    Column k is op(b_k) in w's RREF basis b: its pivot entries, read off
+    the integer image of w's row k once that lies in w.
+    """
+    ints, den = clear_denominators(op.rows)
     cols = []
-    for row in w.basis.rows:
-        coords = solver.solve(op_apply(op, row))
-        if coords is None:
+    images = int_matmul(w.rows, list(zip(*ints)), len(ints))
+    for row, col, image in zip(w.rows, w.pivots, images):
+        if not w.contains_vec(image):
             raise NotInvariant("operator does not preserve the subspace")
-        cols.append(coords)
+        cols.append(rational_row([image[p] for p in w.pivots], den * row[col]))
     return MatQ(tuple(zip(*cols)))
 
 
@@ -762,8 +769,7 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
     if rad.dim:
         # rad * W is invariant, nonzero (the action on W is faithful by
         # construction) and proper (the radical is nilpotent)
-        r_mats = [_coords_to_matrix(r, mats) for r in rad.basis.rows]
-        witness = w.lift(Subspace.image(mat_hstack(*r_mats)))
+        witness = w.lift(combination_image(rad.rows, mats))
         if not 0 < witness.dim < w.dim:
             raise CertificateFailure({"witness_dim": witness.dim, "module_dim": w.dim},
                                      "radical witness is not a proper nonzero submodule")
@@ -787,7 +793,7 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
         if idem is None:
             return SimplicityResult("unknown", budget=budget,
                                     note="split commutant without explicit idempotent")
-        local = Subspace.image(_coords_to_matrix(comp.to_parent(idem), comm_mats))
+        local = combination_image([comp.to_parent(idem)], comm_mats)
         return SimplicityResult("not_simple", witness=w.lift(local),
                                 note="commutant contains a proper idempotent")
     return SimplicityResult("unknown", budget=budget, note=status.note)

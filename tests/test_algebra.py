@@ -413,10 +413,11 @@ def test_integer_products_match_the_fraction_definition(case):
         return sum((F(x[i]) * alg.table[i][m][m] for i in range(n) for m in range(n)), F(0))
 
     assert alg.trace(a) == trace_by_definition(a)
-    gram = alg.trace_form()
-    assert gram.rows == tuple(
-        tuple(trace_by_definition(alg.table[i][j]) for j in range(n)) for i in range(n))
-    entries = list(prod) + [x for op in (left, right, gram) for r in op.rows for x in r]
+    gram, gram_den = alg.trace_form()
+    assert [[F(x, gram_den) for x in r] for r in gram] == [
+        [trace_by_definition(alg.table[i][j]) for j in range(n)] for i in range(n)]
+    assert all(type(x) is int for r in gram for x in r)
+    entries = list(prod) + [x for op in (left, right) for r in op.rows for x in r]
     assert all(type(x) is F for x in entries + [alg.trace(a)])
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from ordembed.embeddings import (
     verify_morphism,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import Lattice, MatQ
+from ordembed.linalg import Lattice, MatQ, Subspace
 from ordembed.samples import (
     integer_matrix_order,
     integers_order,
@@ -35,6 +36,8 @@ from ordembed.samples import (
 )
 
 CORPUS = CORPUS_DIR
+# `Fraction`s constructed by one `decompose --order d4`, as measured.
+FRACTIONS_PER_DECOMPOSE_D4 = 3086
 
 
 def run_json(command, argv):
@@ -387,6 +390,66 @@ def test_minimization_that_does_not_shrink_fails_its_certificate(monkeypatch):
     monkeypatch.setattr(embeddings, "minimize_step", stalled)
     text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
     assert "did not shrink" in certificate_error(text, code)
+
+
+def test_left_action_outside_the_commutant_fails_its_certificate(monkeypatch):
+    # The step's endomorphism rings come back as zero matrices, so the left
+    # action of the domain has no coordinates in them. `_simple_summands`
+    # names its commutants "End" and keeps the true ones.
+    original = embeddings.simple_commutant
+
+    def zeroed(e, budget, *, name, seed=0):
+        alg, comp, mats = original(e, budget, name=name, seed=seed)
+        return alg, comp, mats if name == "End" else tuple(m.scale(0) for m in mats)
+
+    monkeypatch.setattr(embeddings, "simple_commutant", zeroed)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "does not commute" in certificate_error(text, code)
+
+
+def test_collection_embedding_that_is_not_natural_fails_its_certificate(monkeypatch):
+    # In the kept product (named "<codomain>.min") the right annihilator of
+    # each prime's image becomes everything, not just its matched block.
+    original = embeddings.right_annihilator
+
+    def widened(a, s):
+        return Subspace.full(a.dim) if a.name.endswith(".min") else original(a, s)
+
+    monkeypatch.setattr(embeddings, "right_annihilator", widened)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "not natural" in certificate_error(text, code)
+
+
+def test_carriers_that_overfill_their_component_fail_its_certificate(monkeypatch):
+    # Each ladder lists its last factor twice, so one component stacks more
+    # carrier rows than it has dimensions.
+    original = embeddings.bimodule_ladder
+
+    def repeated(*args, **kwargs):
+        ladder = original(*args, **kwargs)
+        return replace(ladder, factors=ladder.factors + ladder.factors[-1:])
+
+    monkeypatch.setattr(embeddings, "bimodule_ladder", repeated)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "do not fill their component" in certificate_error(text, code)
+
+
+def test_decompose_of_d4_constructs_a_bounded_number_of_fractions(monkeypatch):
+    # The integer echelon is the stored form of every subspace; `Fraction`s
+    # appear at the document boundary and in polynomial arithmetic. A change
+    # may lower this bound, never raise it.
+    made = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    text, code = run_report("decompose", order_arg("d4"))
+    monkeypatch.undo()
+    assert code == 0
+    assert made[0] <= FRACTIONS_PER_DECOMPOSE_D4
 
 
 def test_reports_never_read_the_rational_table(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for exact matrices, subspaces, and integer lattices."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 from hypothesis import given, settings, strategies as st
 
-from ordembed.errors import DimensionMismatch
+from ordembed.errors import DimensionMismatch, NotInvariant
 from ordembed.linalg import (
     Lattice,
     MatQ,
@@ -25,7 +26,6 @@ from ordembed.linalg import (
     mat_hstack,
     mat_unvec,
     mat_vec_of,
-    mat_vstack,
     op_apply,
     rank,
     rational_row,
@@ -35,6 +35,8 @@ from ordembed.linalg import (
     snf,
     solve_row,
 )
+from ordembed.wedderburn import restrict_op
+from strategies import nonzero_scales, wide_entries
 
 small_entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -306,8 +308,6 @@ def test_shape_errors():
         MatQ.identity(2) * MatQ.identity(3)
     with pytest.raises(DimensionMismatch):
         mat_hstack(MatQ.identity(2), MatQ.identity(3))
-    with pytest.raises(DimensionMismatch):
-        mat_vstack(MatQ.identity(2), MatQ.identity(3))
 
 
 # -- subspaces --------------------------------------------------------------------
@@ -349,6 +349,111 @@ def test_subspace_frozen_intersection():
     s1 = Subspace.from_rows(3, [[1, 0, 0], [0, 1, 0]])
     s2 = Subspace.from_rows(3, [[0, 1, 0], [0, 0, 1]])
     assert s1.intersect(s2).basis.rows == ((F(0), F(1), F(0)),)
+
+
+# Entries of both types, with denominators far beyond a machine word.
+deep_entries = st.one_of(
+    wide_entries,
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 30),
+)
+
+
+@st.composite
+def spanning_sets(draw):
+    """Width, rows with zero, repeated and negated rows mixed in, and a member or a random vector."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(deep_entries) for _ in range(n)] for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "repeated", "negated")))
+        row = [0] * n
+        if rows and kind != "zero":
+            row = list(draw(st.sampled_from(rows)))
+            if kind == "negated":
+                row = [-x for x in row]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if rows and draw(st.booleans()):
+        cs = [draw(wide_entries) for _ in rows]
+        v = [sum((F(c) * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)]
+    else:
+        v = [draw(deep_entries) for _ in range(n)]
+    return n, rows, v
+
+
+@given(spanning_sets(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_subspace_stored_form_matches_sympy_and_fraction_references(case, data):
+    n, rows, v = case
+    s = Subspace.from_rows(n, rows)
+    for r, p in zip(s.rows, s.pivots):
+        assert all(type(x) is int for x in r) and r[p] > 0 and math.gcd(*r) == 1
+    # the basis view is sympy's RREF without its zero rows
+    if rows:
+        theirs, pivots = to_sympy(MatQ.from_rows(rows)).rref()
+        assert s.pivots == tuple(pivots)
+        assert [list(r) for r in s.basis.rows] == from_sympy(theirs)[: len(pivots)]
+    assert s.dim == s.basis.nrows
+    assert all(type(x) is F for r in s.basis.rows for x in r)
+    # the integer queries against their Fraction definitions
+    ref_rows, ref_pivots = fraction_rref(rows, n)
+    residual = [F(x) for x in v]
+    for k, p in enumerate(ref_pivots):
+        c = residual[p]
+        residual = [a - c * b for a, b in zip(residual, ref_rows[k])]
+    assert s.reduce_vec(v) == tuple(residual)
+    assert s.contains_vec(v) == (not any(residual))
+    if any(residual):
+        with pytest.raises(ValueError):
+            s.coords_of(v)
+    else:
+        assert s.coords_of(v) == tuple(F(v[p]) for p in ref_pivots)
+        if s.dim:
+            assert row_times_mat(s.coords_of(v), s.basis) == tuple(F(x) for x in v)
+    # a scaled and permuted spanning set spans the equal, equally hashed subspace
+    scales = [data.draw(nonzero_scales) for _ in rows]
+    scaled = [[c * F(x) for x in r] for c, r in zip(scales, rows)]
+    other = Subspace.from_rows(n, data.draw(st.permutations(scaled)))
+    assert other == s and hash(other) == hash(s)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=120)
+def test_restrict_op_matches_the_row_solver(data):
+    d = data.draw(st.integers(1, 4))
+    op = MatQ.from_rows([[data.draw(deep_entries) for _ in range(d)] for _ in range(d)])
+    w = data.draw(st.sampled_from((
+        Subspace.image(op),  # each of these three is invariant under op
+        Subspace.image(op * op),
+        Subspace.from_rows(d, kernel(op).rows),
+        Subspace.from_rows(d, [[data.draw(deep_entries) for _ in range(d)]]),
+    )))
+    solver = RowSolver(w.basis)
+    cols = [solver.solve(op_apply(op, b)) for b in w.basis.rows]
+    if any(c is None for c in cols):
+        with pytest.raises(NotInvariant):
+            restrict_op(op, w)
+    else:
+        assert restrict_op(op, w).rows == tuple(zip(*cols))
+
+
+def test_integer_subspace_queries_construct_no_fraction(monkeypatch):
+    rows = [(2, -4, 6, 0), (1, 1, 0, 3), (3, -3, 6, 3), (0, 0, 0, 0)]
+    made = []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    s = Subspace.from_rows(4, rows)
+    t = Subspace.from_rows(4, rows[::-1])
+    assert s.dim == 2 and s.pivots == (0, 1)
+    assert s == t and s != Subspace.full(4)
+    assert s.contains_vec([3, -3, 6, 3]) and not s.contains_vec([0, 0, 1, 0])
+    assert s.contains(t) and not s.contains(Subspace.full(4))
+    monkeypatch.undo()
+    assert made == []
+    assert s.rows == ((1, 0, 1, 2), (0, 1, -1, 1))
 
 
 # -- HNF lattices -----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,22 @@ def test_the_scan_finds_an_unreferenced_definition():
 def test_every_definition_is_named_somewhere():
     referring = [p.read_text() for p in REFERRERS]
     assert unreferenced_definitions([p.read_text() for p in MODULES], referring) == []
+
+
+def test_every_traced_target_resolves():
+    # `Tracer.install` looks each target up by its string: a module
+    # attribute, or a function or staticmethod in its class's __dict__. A
+    # renamed target would break `perfbench/run.py --trace 1` and no other test.
+    # perfbench is not a package, so layers.py is imported by path.
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for target in layers.TARGETS:
+        mod_name, _, qual = target.partition(".")
+        module = importlib.import_module(f"ordembed.{mod_name}")
+        owner, _, attr = qual.rpartition(".")
+        if owner:
+            raw = vars(getattr(module, owner)).get(attr)
+            assert inspect.isfunction(raw) or isinstance(raw, staticmethod), target
+        else:
+            assert callable(getattr(module, attr, None)), target
