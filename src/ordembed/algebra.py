@@ -597,15 +597,25 @@ class LatticeIdeal:
 
 
 def build_ideal(parent: OrderRing, rows: Iterable[Sequence[int]]) -> LatticeIdeal:
+    """The lattice spanned by rows, checked closed under both multiplications in integers.
+
+    A product e_i g is an integer row over den; it lies in the lattice when
+    den divides it and the quotient does.
+    """
     n = parent.rank
     lat = Lattice.from_rows(n, rows)
     alg = parent.coord_algebra
+    den = alg.den
+
+    def inside(prod: list[int]) -> bool:
+        return not any(x % den for x in prod) and lat.contains_vec([x // den for x in prod])
+
     for g in lat.basis:
+        g_terms = [(j, x) for j, x in enumerate(g) if x]
         for i in range(n):
-            e = alg.basis_vec(i)
-            if not lat.contains_vec(alg.mul(e, g)):
+            if not inside(alg.mul_terms(((i, 1),), g_terms)):
                 raise ParseError("ideal rows not closed under left multiplication")
-            if not lat.contains_vec(alg.mul(g, e)):
+            if not inside(alg.mul_terms(g_terms, ((i, 1),))):
                 raise ParseError("ideal rows not closed under right multiplication")
     sat = _saturate_in_order(lat)
     return LatticeIdeal(parent, lat, saturated=(sat.basis == lat.basis))

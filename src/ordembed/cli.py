@@ -57,7 +57,7 @@ from .reports import (
     sha256_hex,
     subspace_doc,
 )
-from .wedderburn import decompose, resolve_all
+from .wedderburn import decompose, fact_store, resolve_all
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -368,9 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(args) -> tuple[str, int]:
+    """Run one command with its own fact store, dropped when the command ends."""
     inputs = _Inputs()
     try:
-        body, code = HANDLERS[args.command](args, inputs)
+        with fact_store():
+            body, code = HANDLERS[args.command](args, inputs)
     except UnresolvedSimplicity as exc:
         body, code = error_doc(exc, budget=exc.budget), EXIT_BUDGET
     except SearchExhausted as exc:

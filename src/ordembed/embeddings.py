@@ -768,8 +768,8 @@ def minimize_step(
                 return True
         return current.dim == 0
 
-    assert intersects_to_zero(order_keys), \
-        "factor annihilators of an embedding intersect to zero"
+    if not intersects_to_zero(order_keys):
+        raise CertificateFailure(message="factor annihilators do not intersect to zero")
     selected = list(order_keys)
     for k in reversed(order_keys):
         if len(selected) == 1:
@@ -782,20 +782,22 @@ def minimize_step(
 
     sel_bases = [factors[k].annihilator.lattice.basis for k in selected_keys]
     prime_bases = [p.lattice.basis for p in primes]
-    assert len(sel_bases) == len(set(sel_bases)), "kept annihilators are distinct"
-    assert set(sel_bases) == set(prime_bases), \
-        "kept annihilators enumerate the minimal primes"
+    if len(sel_bases) != len(set(sel_bases)):
+        raise CertificateFailure(message="two kept annihilators are equal")
+    if set(sel_bases) != set(prime_bases):
+        raise CertificateFailure(message="kept annihilators do not enumerate the minimal primes")
     prime_of = {k: prime_bases.index(b) for k, b in zip(selected_keys, sel_bases)}
 
     for k in selected_keys:
         fac = factors[k]
         for pi in range(len(primes)):
             image = combination_image(primes[pi].lattice.basis, fac.left_action)
-            if pi == prime_of[k]:
-                assert image.dim == 0, "matched prime annihilates its carrier"
-            else:
-                assert image.dim == fac.carrier.dim, \
-                    "other primes act with full image on a simple carrier"
+            if pi == prime_of[k] and image.dim != 0:
+                raise CertificateFailure({"factor": list(k), "prime": pi},
+                                         "matched prime does not annihilate its carrier")
+            if pi != prime_of[k] and image.dim != fac.carrier.dim:
+                raise CertificateFailure({"factor": list(k), "prime": pi},
+                                         "another prime acts without full image on a simple carrier")
 
     ends: dict[tuple[int, int], tuple] = {}
     for k in order_keys:

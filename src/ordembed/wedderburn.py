@@ -6,12 +6,24 @@ factoring minimal polynomials of centre elements and lifting the factors to
 orthogonal central idempotents; each simple block's division part is then
 resolved as far as rational arithmetic allows (commutative and quaternion
 cases certified, anything beyond reported as Unknown rather than guessed).
+
+While a command runs (`fact_store`, opened by `cli._execute`), five results
+are kept once per command and looked up on integer data, never on names:
+decompositions (on the table, the unit and the seed), split statuses (on the
+block's table and unit, its centre dimension and reduced degree, the budget
+and the seed), commutants (on the generators, the budget and the seed),
+structure constants of a matrix basis (on the matrices) and operator
+algebras (on the generators). A stored result is re-labelled for each
+caller: its algebra and block names are the caller's. Failures are not
+stored, and outside a command every call computes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
@@ -53,6 +65,33 @@ from .linalg import (
 )
 
 DECOMPOSE_CANDIDATE_CAP = 5000
+
+# The facts of the command being run, by key; None outside a command.
+_FACTS: ContextVar[dict | None] = ContextVar("ordembed_facts", default=None)
+
+
+@contextmanager
+def fact_store():
+    """Keep each stored fact once while the block runs, and drop them all after.
+
+    A store opened inside another hides the outer one until it closes.
+    """
+    token = _FACTS.set({})
+    try:
+        yield
+    finally:
+        _FACTS.reset(token)
+
+
+def _recall(key: tuple, compute, *args):
+    """compute(*args), run once per key while a store is open; a raise is not kept."""
+    facts = _FACTS.get()
+    if facts is None:
+        return compute(*args)
+    value = facts.get(key)
+    if value is None:
+        value = facts[key] = compute(*args)
+    return value
 
 
 def radical(a: StructureAlgebra) -> Subspace:
@@ -218,15 +257,43 @@ def decompose(a: StructureAlgebra, *, seed: int = 0) -> SemisimpleDecomposition:
 
 
 def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomposition:
-    """The body of `decompose`, for callers that have found rad(a) = 0 themselves."""
+    """The body of `decompose`, for callers that have found rad(a) = 0 themselves.
+
+    Kept per command on a's table and unit: a decomposition of an equal
+    table under another name gets a as its parent and its block names.
+    """
+    dec = _recall(("decompose", a.den, a.products, a.unit, seed), _split_blocks, a, seed)
+    if dec.parent is a:
+        return dec
+    name = f"{a.name}.blk"
+    return SemisimpleDecomposition(a, dec.central_idempotents, tuple(
+        c if c.algebra.name == name else replace(c, algebra=replace(c.algebra, name=name))
+        for c in dec.components
+    ))
+
+
+def _whole_block(a: StructureAlgebra) -> StructureAlgebra:
+    """a as a block of itself: `induced_algebra` on the identity rows, without the products."""
+    return replace(a, name=f"{a.name}.blk", basis_labels=tuple(f"b{i}" for i in range(a.dim)))
+
+
+def _split_blocks(a: StructureAlgebra, seed: int) -> SemisimpleDecomposition:
+    """Simple blocks of a semisimple a, split off through central idempotents.
+
+    The whole algebra is the first block, in its own coordinates; later
+    blocks carry their rows in a's coordinates.
+    """
     if a.dim == 0:
         return SemisimpleDecomposition(a, (), ())
 
-    finished: list[tuple[Vec, MatQ, StructureAlgebra, int]] = []
-    queue: list[tuple[Vec, MatQ]] = [(a.unit, MatQ.identity(a.dim))]
+    finished: list[tuple[Vec, MatQ | None, StructureAlgebra, int]] = []
+    queue: list[tuple[Vec, MatQ | None]] = [(a.unit, None)]
     while queue:
         unit_vec, rows = queue.pop()
-        block = induced_algebra(a, rows, name=f"{a.name}.blk", unit_hint=unit_vec)
+        if rows is None:
+            block = _whole_block(a)
+        else:
+            block = induced_algebra(a, rows, name=f"{a.name}.blk", unit_hint=unit_vec)
         z_sub = centre(block)
         c = z_sub.dim
         if c == 1:
@@ -246,9 +313,11 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
             if len(factors) > 1:
                 idems = _crt_idempotents(block, z, factors)
                 for e in idems:
-                    lifted_rows = Subspace.image(block.left_mult_op(e)).basis * rows
-                    lifted_unit = row_times_mat(e, rows)
-                    queue.append((lifted_unit, lifted_rows))
+                    image = Subspace.image(block.left_mult_op(e)).basis
+                    if rows is None:
+                        queue.append((e, image))
+                    else:
+                        queue.append((row_times_mat(e, rows), image * rows))
                 split_found = True
                 break
             if factors and factors[0][1] == 1 and factors[0][0].degree == c:
@@ -276,7 +345,7 @@ def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomp
             reduced_degree=m,
             split_status=status,
             idempotent=unit_vec,
-            block_rows=rows,
+            block_rows=MatQ.identity(a.dim) if rows is None else rows,
         ))
     components.sort(key=lambda comp: (comp.dim, comp.idempotent))
     # consistency: orthogonality and completeness of the idempotents
@@ -428,26 +497,35 @@ def resolve_split_status(component: SimpleComponent, budget: int, *, seed: int =
     idempotents until every corner collapses onto the centre. Components
     that resist (division parts of reduced degree >= 3, or matrix rings
     over quaternion division algebras) come back Unknown: no guessing.
+    The status holds no names, and is kept per command.
     """
     if component.split_status.kind != "unknown":
         return component
     b = component.algebra
+    key = ("split", b.den, b.products, b.unit, component.centre_dim,
+           component.reduced_degree, budget, seed)
+    status = _recall(key, _split_status, component, budget, seed)
+    return replace(component, split_status=status)
+
+
+def _split_status(component: SimpleComponent, budget: int, seed: int) -> SplitStatus:
+    """The body of `resolve_split_status`."""
+    b = component.algebra
     c = component.centre_dim
     m = component.reduced_degree
     if m == 1:
-        return replace(component, split_status=SplitStatus.split(1))
+        return SplitStatus.split(1)
     if m == 2 and c == 1:
         alpha, beta = _quaternion_invariants(b)
         places = ramified_places(alpha, beta)
         if places:
-            return replace(component, split_status=SplitStatus.quaternion_division(
-                places, note=f"({alpha},{beta}) ramified"))
+            return SplitStatus.quaternion_division(places, note=f"({alpha},{beta}) ramified")
         # split by symbols; look for explicit matrix units within budget
         status = _peel_matrix_units(component, budget, seed)
         if status.is_unknown:
             status = SplitStatus.split(2, note=f"({alpha},{beta}) unramified; units not located")
-        return replace(component, split_status=status)
-    return replace(component, split_status=_peel_matrix_units(component, budget, seed))
+        return status
+    return _peel_matrix_units(component, budget, seed)
 
 
 def _peel_matrix_units(component: SimpleComponent, budget: int, seed: int) -> SplitStatus:
@@ -537,6 +615,12 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
         d = module_dim
     if module_dim is not None and module_dim != d:
         raise DimensionMismatch("module_dim disagrees with generator size")
+    gens = tuple(gens)
+    return OperatorAlgebra(d, gens, _recall(("operators", gens, d), _closure, gens, d))
+
+
+def _closure(gens: tuple[MatQ, ...], d: int) -> Subspace:
+    """The body of `operator_algebra`: the span of all words in the generators."""
     int_gens = [clear_denominators(g.rows)[0] for g in gens]
 
     def products(x: list[int]) -> Iterable[list[int]]:
@@ -547,8 +631,7 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
     # The span of all words in the generators is the smallest subspace that
     # holds I and is closed under right multiplication by each generator.
     seeds = [int_identity_vec(d)] + [[x for r in g for x in r] for g in int_gens]
-    span = Subspace.from_rows(d * d, echelon_closure(seeds, products))
-    return OperatorAlgebra(d, tuple(gens), span)
+    return Subspace.from_rows(d * d, echelon_closure(seeds, products))
 
 
 def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAlgebra, tuple[MatQ, ...]]:
@@ -557,8 +640,16 @@ def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAl
     The identity must lie in the span (it becomes the unit). Each matrix is
     cleared to integers over its denominator once; the k^2 products are
     integer matrix products, solved in integers, and the table is built
-    from those integers over one common denominator.
+    from those integers over one common denominator. Kept per command on
+    the matrices, and named `name` for each caller.
     """
+    mats = tuple(mats)
+    alg = _recall(("structure", mats), _structure_algebra, mats, name)
+    return (alg if alg.name == name else replace(alg, name=name)), mats
+
+
+def _structure_algebra(mats: tuple[MatQ, ...], name: str) -> StructureAlgebra:
+    """The body of `matrices_to_algebra`."""
     if not mats:
         raise DimensionMismatch("empty matrix basis")
     d, k = mats[0].nrows, len(mats)
@@ -576,11 +667,10 @@ def matrices_to_algebra(mats: Sequence[MatQ], *, name: str) -> tuple[StructureAl
     if unit is None:
         raise DimensionMismatch("identity matrix outside the span")
     flat, den = over_common_den(coords)
-    alg = StructureAlgebra.from_ints(
+    return StructureAlgebra.from_ints(
         name, tuple(f"m{i}" for i in range(k)), rational_row(*unit), den,
         [flat[i * k:(i + 1) * k] for i in range(k)],
     )
-    return alg, tuple(mats)
 
 
 def spanned_algebra(e: OperatorAlgebra, *, name: str = "spanned") -> tuple[StructureAlgebra, tuple[MatQ, ...]]:
@@ -660,8 +750,22 @@ def simple_commutant(
     Returns the commutant as an algebra named `name`, its single simple
     component after resolve_split_status within `budget`, and the matrices
     its basis stands for. The module must be isotypic under `e` (a simple
-    module is), which makes the commutant simple.
+    module is), which makes the commutant simple. Kept per command on the
+    generators, the budget and the seed; the component's algebra is named
+    `name`.blk for each caller.
     """
+    key = ("commutant", e.module_dim, e.generators, budget, seed)
+    alg, comp, mats = _recall(key, _simple_commutant, e, budget, name, seed)
+    if alg.name != name:
+        alg = replace(alg, name=name)
+        comp = replace(comp, algebra=replace(comp.algebra, name=f"{name}.blk"))
+    return alg, comp, mats
+
+
+def _simple_commutant(
+    e: OperatorAlgebra, budget: int, name: str, seed: int
+) -> tuple[StructureAlgebra, SimpleComponent, tuple[MatQ, ...]]:
+    """The body of `simple_commutant`."""
     alg, mats = matrices_to_algebra(commutant_matrices(e), name=name)
     dec = decompose(alg, seed=seed)
     if len(dec.components) != 1:

@@ -39,7 +39,7 @@ from ordembed.errors import (
     ParseError,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import MatQ, Subspace, unit_vec
+from ordembed.linalg import Lattice, MatQ, Subspace, unit_vec
 from ordembed.samples import (
     change_basis,
     cyclic_group_algebra,
@@ -248,6 +248,47 @@ def test_quotient_refuses_non_saturated_ideal():
     sat = exc.value.saturation
     assert sat.lattice.basis == ((1, 0), (0, 1))
     assert saturate_ideal(doubled).saturated
+
+
+def fraction_closed(order, lat):
+    """The closure test by its definition: every e_i g and g e_i, as `Fraction` rows, in lat."""
+    alg = order.coord_algebra
+    return all(
+        lat.contains_vec(alg.mul(alg.basis_vec(i), g)) and lat.contains_vec(alg.mul(g, alg.basis_vec(i)))
+        for g in lat.basis for i in range(order.rank)
+    )
+
+
+IDEAL_ORDERS = ("crt", "m2z", "lipschitz", "t2z", "c3")
+
+
+@given(st.sampled_from(IDEAL_ORDERS), st.integers(1, 3), st.data())
+@settings(deadline=None, max_examples=60)
+def test_build_ideal_closure_matches_the_fraction_definition(name, count, data):
+    order = load_order(json.loads((CORPUS_DIR / f"{name}.json").read_text()))
+    n = order.rank
+    # random rows, or k times the order, which is always an ideal
+    if data.draw(st.booleans()):
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                  min_size=count, max_size=count))
+    else:
+        rows = [[count if j == i else 0 for j in range(n)] for i in range(n)]
+    lat = Lattice.from_rows(n, rows)
+    if fraction_closed(order, lat):
+        assert build_ideal(order, rows).lattice == lat
+    else:
+        with pytest.raises(ParseError, match="not closed"):
+            build_ideal(order, rows)
+
+
+def test_build_ideal_rejects_rows_that_are_not_closed():
+    # e00 of M2(Z) spans a lattice that e00 * e01 = e01 leaves
+    order = load_order(json.loads((CORPUS_DIR / "m2z.json").read_text()))
+    rows = [[1, 0, 0, 0]]
+    assert not fraction_closed(order, Lattice.from_rows(4, rows))
+    with pytest.raises(ParseError, match="not closed under right multiplication"):
+        build_ideal(order, rows)
+    assert build_ideal(order, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]).rank == 4
 
 
 def test_regularity_in_group_ring():

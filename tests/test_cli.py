@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ordembed
-from ordembed import criteria, embeddings, wedderburn
+from ordembed import cli, criteria, embeddings, wedderburn
 from ordembed.algebra import StructureAlgebra, algebra_to_doc, load_order, order_to_doc
 from ordembed.cli import CORPUS_DIR, main, run_report
 from ordembed.criteria import order_facts
@@ -37,7 +38,7 @@ from ordembed.samples import (
 
 CORPUS = CORPUS_DIR
 # `Fraction`s constructed by one `decompose --order d4`, as measured.
-FRACTIONS_PER_DECOMPOSE_D4 = 3086
+FRACTIONS_PER_DECOMPOSE_D4 = 2977
 
 
 def run_json(command, argv):
@@ -175,6 +176,99 @@ def test_criteria_builds_each_slice_once(monkeypatch, name, order, slices):
     sliced = {k: v for k, v in decomposed.items() if "@q" in k}
     assert sliced == {f"{order}@q{i}": 1 for i in range(slices)}
     assert isos == {order: 1}
+
+
+STORED_KINDS = {"decompose", "split", "commutant", "structure", "operators"}
+
+
+def count_stored_runs(monkeypatch):
+    """Body runs per key of the fact store, and lookups per kind of fact.
+
+    Each run records the store it ran in: a command's own store, or None.
+    """
+    original = wedderburn._recall
+    runs, lookups, stores = Counter(), Counter(), []
+
+    def counting(key, compute, *args):
+        lookups[key[0]] += 1
+
+        def counted(*inner):
+            runs[key] += 1
+            stores.append(wedderburn._FACTS.get())
+            return compute(*inner)
+
+        return original(key, counted, *args)
+
+    monkeypatch.setattr(wedderburn, "_recall", counting)
+    return runs, lookups, stores
+
+
+def workload_embedding(workdir, name, seed):
+    """The path of one embedding of the benchmark's `embeddings` workload, built from `seed`."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+
+    ops = workloads.embeddings(workdir, random.Random(seed))
+    return next(op.argv[1] for op in ops if op.name == f"{name}.minimize")
+
+
+@pytest.mark.parametrize("embedding", ["demo-scalar", "demo-crt", "demo-split", "emb5"])
+def test_each_stored_fact_is_computed_once_per_command(monkeypatch, tmp_path, embedding):
+    if embedding.startswith("emb"):
+        path = workload_embedding(tmp_path, embedding, 7)
+    else:
+        path = str(CORPUS / f"{embedding}.json")
+    runs, lookups, stores = count_stored_runs(monkeypatch)
+    _, code = run_report("minimize", ["--embedding", path, "--seed", "7"])
+    assert code == 0
+    assert set(runs.values()) == {1}
+    assert {key[0] for key in runs} == set(lookups) == STORED_KINDS
+    # the decompositions and operator algebras are each found more than once
+    for kind in ("decompose", "operators", "structure"):
+        assert lookups[kind] > sum(1 for key in runs if key[0] == kind)
+    assert None not in stores and len({id(s) for s in stores}) == 1
+
+
+def test_each_command_has_its_own_store(monkeypatch):
+    assert wedderburn._FACTS.get() is None
+    runs, _, stores = count_stored_runs(monkeypatch)
+    argv = ["--embedding", str(CORPUS / "demo-crt.json")]
+    first, _ = run_report("minimize", argv)
+    assert wedderburn._FACTS.get() is None
+    once = Counter(runs)
+    second, _ = run_report("minimize", argv)
+    assert wedderburn._FACTS.get() is None
+    assert first == second
+    assert runs == once + once
+    half = len(stores) // 2
+    assert not {id(s) for s in stores[:half]} & {id(s) for s in stores[half:]}
+
+
+def test_verify_gives_each_entry_a_fresh_store(monkeypatch):
+    runs, _, stores = count_stored_runs(monkeypatch)
+    original = cli._verify_entry
+    entries = []
+
+    def watched(corpus, entry):
+        outer = wedderburn._FACTS.get()
+        start = len(stores)
+        result = original(corpus, entry)
+        assert wedderburn._FACTS.get() is outer is not None
+        entries.append(stores[start:])
+        return result
+
+    monkeypatch.setattr(cli, "_verify_entry", watched)
+    doc, code = run_json("verify", [])
+    assert code == 0 and doc["report"]["passed"] == 15
+    assert len(entries) == 15
+    # an order with a radical stores nothing; the stores stay referenced by
+    # `stores`, so no two can share an id
+    own = [{id(s) for s in seen} for seen in entries if seen]
+    assert len(own) >= 12 and all(len(ids) == 1 for ids in own)
+    assert len(set().union(*own)) == len(own)
+    assert None not in stores
 
 
 def test_decompose_when_every_small_prime_is_bad(tmp_path):
@@ -432,6 +526,92 @@ def test_carriers_that_overfill_their_component_fail_its_certificate(monkeypatch
     monkeypatch.setattr(embeddings, "bimodule_ladder", repeated)
     text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
     assert "do not fill their component" in certificate_error(text, code)
+
+
+def with_ladder_factors(monkeypatch, change):
+    """Pass every factor of every ladder through change(order, factor)."""
+    original = embeddings.bimodule_ladder
+
+    def changed(order, *args, **kwargs):
+        ladder = original(order, *args, **kwargs)
+        return replace(ladder, factors=tuple(change(order, fac) for fac in ladder.factors))
+
+    monkeypatch.setattr(embeddings, "bimodule_ladder", changed)
+
+
+def test_annihilators_that_do_not_meet_in_zero_fail_their_certificate(monkeypatch):
+    # Every factor claims the whole order as its annihilator.
+    def whole(order, fac):
+        return replace(fac, annihilator=replace(fac.annihilator, lattice=Lattice.standard(order.rank)))
+
+    with_ladder_factors(monkeypatch, whole)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "do not intersect to zero" in certificate_error(text, code)
+
+
+class BorrowedLattice:
+    """An annihilator that shows another one's lattice and keeps its own span."""
+
+    def __init__(self, own, lattice):
+        self.own, self.lattice, self.saturated = own, lattice, True
+
+    def span(self):
+        return self.own.span()
+
+
+def test_equal_kept_annihilators_fail_their_certificate(monkeypatch):
+    # The spans still meet in zero and pick one factor per prime, but every
+    # kept factor shows the first annihilator's lattice.
+    original = embeddings._annihilator_ideal
+    first = []
+
+    def borrowed(order, left_mats):
+        ideal = original(order, left_mats)
+        first.append(ideal.lattice)
+        return BorrowedLattice(ideal, first[0])
+
+    monkeypatch.setattr(embeddings, "_annihilator_ideal", borrowed)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "two kept annihilators are equal" in certificate_error(text, code)
+
+
+def test_annihilators_that_are_not_the_minimal_primes_fail_their_certificate(monkeypatch):
+    # Twice each annihilator has the same span, so the kept family is the
+    # same, but its lattices are not the minimal primes.
+    original = embeddings._annihilator_ideal
+
+    def doubled(order, left_mats):
+        ideal = original(order, left_mats)
+        rows = [[2 * x for x in row] for row in ideal.lattice.basis]
+        return replace(ideal, lattice=Lattice.from_rows(order.rank, rows))
+
+    monkeypatch.setattr(embeddings, "_annihilator_ideal", doubled)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "do not enumerate the minimal primes" in certificate_error(text, code)
+
+
+def test_matched_prime_that_acts_on_its_carrier_fails_its_certificate(monkeypatch):
+    # Each basis element of the domain acts on every carrier as the identity,
+    # so no nonzero prime annihilates one.
+    def identities(order, fac):
+        d = fac.carrier.dim
+        return replace(fac, left_action=(MatQ.identity(d),) * order.rank)
+
+    with_ladder_factors(monkeypatch, identities)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "does not annihilate its carrier" in certificate_error(text, code)
+
+
+def test_other_prime_without_full_image_fails_its_certificate(monkeypatch):
+    # Each basis element of the domain acts on every carrier as zero, so the
+    # unmatched primes have zero image.
+    def zeros(order, fac):
+        d = fac.carrier.dim
+        return replace(fac, left_action=(MatQ.zeros(d, d),) * order.rank)
+
+    with_ladder_factors(monkeypatch, zeros)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert "without full image" in certificate_error(text, code)
 
 
 def test_decompose_of_d4_constructs_a_bounded_number_of_fractions(monkeypatch):

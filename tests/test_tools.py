@@ -5,6 +5,9 @@ alter reports regenerates the corpus with `python3 tools/build_corpus.py`
 and the digest list with `python3 tools/report_digests.py > tests/report_digests.txt`.
 """
 
+import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,22 @@ def test_report_digests_match_the_checked_in_list():
     expected = (Path(__file__).parent / "report_digests.txt").read_text().splitlines()
     assert len(expected) == 184
     assert lines == expected
+
+
+def test_traced_benchmark_run_counts_every_target():
+    # The smallest traced run: --seconds 0 still makes whole passes until the
+    # tail percentile has its samples, and checks every report afterwards.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "corpus",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    calls = {f"{t}.calls" for t in layers.TARGETS}
+    assert calls <= set(result["metrics"])
+    assert result["metrics"]["cli.run_report.calls"]["value"] == 15

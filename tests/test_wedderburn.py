@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from ordembed.samples import (
     matrix_algebra,
     planted_radical_instance,
     poly_quotient_algebra,
+    product_pair,
     quaternion_algebra,
     symmetric3_group_algebra,
     upper_triangular_algebra,
@@ -51,6 +53,7 @@ from ordembed.wedderburn import (
     certify_simple_module,
     commutant_matrices,
     decompose,
+    fact_store,
     isotypic_split,
     matrices_to_algebra,
     operator_algebra,
@@ -59,9 +62,10 @@ from ordembed.wedderburn import (
     resolve_split_status,
     restrict_op,
     semisimple_quotient,
+    simple_commutant,
 )
 
-from strategies import nonzero_scales, wide_entries
+from strategies import nonzero_scales, scrambled_semisimple, wide_entries
 
 F = Fraction
 
@@ -609,3 +613,83 @@ def test_operator_layer_makes_no_products(monkeypatch):
     assert rebuilt.table == parent.table and sub.dim == unhinted.dim == block.dim == 4
     assert sub.unit == unhinted.unit
     assert (e.dim, spanned.dim, end.dim) == (4, 4, 4)
+
+
+# -- the command's fact store ---------------------------------------------------------
+
+
+def renamed(alg, name):
+    """The same table under another name and other basis labels."""
+    return replace(alg, name=name, basis_labels=tuple(f"x{i}" for i in range(alg.dim)))
+
+
+@given(scrambled_semisimple(), st.integers(0, 3))
+@settings(deadline=None, max_examples=20)
+def test_a_stored_fact_under_another_name_equals_a_fresh_one(alg, seed):
+    other = renamed(alg, "B")
+    with fact_store():
+        first = resolve_all(decompose(alg, seed=seed), 100, seed=seed)
+        hit = resolve_all(decompose(other, seed=seed), 100, seed=seed)
+        # the left regular module of a simple block is isotypic
+        block = first.components[-1].algebra
+        e = operator_algebra([block.left_mult_op(block.basis_vec(i)) for i in range(block.dim)])
+        first_end = simple_commutant(e, 100, name="End", seed=seed)
+        hit_end = simple_commutant(e, 100, name="Other", seed=seed)
+        first_alg = matrices_to_algebra(e.basis_matrices(), name="M")
+        hit_alg = matrices_to_algebra(e.basis_matrices(), name="N")
+    assert wedderburn._FACTS.get() is None
+    # each second call was answered from the store
+    assert hit.central_idempotents is first.central_idempotents
+    assert hit_end[2] is first_end[2] and hit_alg[0].products is first_alg[0].products
+    # and equals a fresh computation under its own name, field by field
+    assert hit == resolve_all(decompose(other, seed=seed), 100, seed=seed)
+    assert hit.parent is other
+    assert {c.algebra.name for c in hit.components} == {"B.blk"}
+    assert hit_end == simple_commutant(e, 100, name="Other", seed=seed)
+    assert (hit_end[0].name, hit_end[1].algebra.name) == ("Other", "Other.blk")
+    assert hit_alg == matrices_to_algebra(e.basis_matrices(), name="N")
+
+
+def test_no_store_is_open_outside_a_command():
+    assert wedderburn._FACTS.get() is None
+    with fact_store():
+        outer = wedderburn._FACTS.get()
+        with fact_store():
+            assert wedderburn._FACTS.get() is not outer
+        assert wedderburn._FACTS.get() is outer
+    assert wedderburn._FACTS.get() is None
+
+
+def test_a_failure_is_not_stored():
+    with fact_store():
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                matrices_to_algebra([fmat((0, 1), (0, 0))], name="M")
+        assert wedderburn._FACTS.get() == {}
+
+
+@given(scrambled_semisimple())
+@settings(deadline=None, max_examples=30)
+def test_the_whole_algebra_is_its_own_first_block(alg):
+    induced = induced_algebra(alg, MatQ.identity(alg.dim), name="A.blk", unit_hint=alg.unit)
+    block = wedderburn._whole_block(alg)
+    assert (block.name, block.basis_labels, block.unit, block.den, block.products) == (
+        induced.name, induced.basis_labels, induced.unit, induced.den, induced.products)
+    assert block == induced
+
+
+@pytest.mark.parametrize("make", [
+    lambda: matrix_algebra(2),
+    lambda: quaternion_algebra(-1, -1),
+    lambda: poly_quotient_algebra(PolyQ.make([-2, 0, 1]), name="Q(sqrt2)"),
+    product_pair,
+], ids=["M2", "H", "Qsqrt2", "QC2xQsqrt2"])
+def test_the_whole_block_of_a_sample_algebra(make):
+    alg = make()
+    assert wedderburn._whole_block(alg) == induced_algebra(
+        alg, MatQ.identity(alg.dim), name=f"{alg.name}.blk", unit_hint=alg.unit)
+    dec = decompose(alg)
+    if len(dec) == 1:
+        (comp,) = dec.components
+        assert comp.algebra == wedderburn._whole_block(alg)
+        assert comp.block_rows == MatQ.identity(alg.dim)
