@@ -133,27 +133,17 @@ class StructureAlgebra:
         v_terms, v_den = self._int_terms(v)
         return rational_row(self.mul_terms(u_terms, v_terms), self.den * u_den * v_den)
 
-    def _int_mult_op(self, a: Sequence, *, left: bool) -> tuple[list[list[int]], int]:
-        """Integer matrix and denominator of v -> a*v (left) or v -> v*a."""
-        a_terms, a_den = self._int_terms(a)
-        den, table = self.den, self.products
-        n = self.dim
-        acc = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for i, x in a_terms:
-                for m, c in (table[i][j] if left else table[j][i]):
-                    acc[m][j] += x * c
-        return acc, den * a_den
-
     def left_mult_op(self, a: Sequence) -> MatQ:
-        """Column-convention matrix of v -> a*v."""
-        rows, den = self._int_mult_op(a, left=True)
-        return MatQ(tuple(rational_row(r, den) for r in rows))
+        """Column-convention matrix of v -> a*v: column j is a*b_j, in integers."""
+        terms, den = self._int_terms(a)
+        cols = (self.mul_terms(terms, ((j, 1),)) for j in range(self.dim))
+        return MatQ.from_ints(zip(*cols), self.den * den)
 
     def right_mult_op(self, a: Sequence) -> MatQ:
-        """Column-convention matrix of v -> v*a."""
-        rows, den = self._int_mult_op(a, left=False)
-        return MatQ(tuple(rational_row(r, den) for r in rows))
+        """Column-convention matrix of v -> v*a: column j is b_j*a, in integers."""
+        terms, den = self._int_terms(a)
+        cols = (self.mul_terms(((j, 1),), terms) for j in range(self.dim))
+        return MatQ.from_ints(zip(*cols), self.den * den)
 
     @cached_property
     def _int_traces(self) -> tuple[int, ...]:
@@ -183,7 +173,7 @@ class StructureAlgebra:
         lands in that second part is a relation among the powers.
         """
         n = self.dim
-        op, op_den = self._int_mult_op(a, left=False)
+        op = self.right_mult_op(a)
         (power,), scale = clear_denominators((self.unit,))
         scales = [scale]
         echelon: list[tuple[list[int], int]] = []
@@ -196,8 +186,8 @@ class StructureAlgebra:
                 comb = row[n:]
                 lead = comb[k] * scales[k]
                 return PolyQ.make([Fraction(c * s, lead) for c, s in zip(comb, scales)])
-            power = [sum(x * y for x, y in zip(r, power) if x) for r in op]
-            scale *= op_den
+            power = [sum(x * y for x, y in zip(r, power) if x) for r in op.ints]
+            scale *= op.den
             g = gcd(*power, scale)
             power = [x // g for x in power]
             scale //= g
@@ -206,12 +196,10 @@ class StructureAlgebra:
 
 def _check_unit(alg: StructureAlgebra) -> None:
     """Column i of both multiplication operators of the unit must be e_i."""
-    left, den = alg._int_mult_op(alg.unit, left=True)
-    right, _ = alg._int_mult_op(alg.unit, left=False)
+    ops = (alg.left_mult_op(alg.unit), alg.right_mult_op(alg.unit))
     for i in range(alg.dim):
-        for m in range(alg.dim):
-            want = den if m == i else 0
-            if left[m][i] != want or right[m][i] != want:
+        for op in ops:
+            if any(op.ints[m][i] != (op.den if m == i else 0) for m in range(alg.dim)):
                 raise NoUnit(f"declared unit fails on basis element {alg.basis_labels[i]}")
 
 
@@ -362,14 +350,15 @@ def induced_algebra(
     solver = RowSolver(basis_rows)
     if solver.rank != k:
         raise DimensionMismatch("subalgebra basis rows are dependent")
-    terms = [a._int_terms(r) for r in basis_rows.rows]
+    # basis row i is ints[i] / d, and column q of op is ints[i] * e_q over op.den
+    ints, d = basis_rows.ints, basis_rows.den
+    terms = [a._int_terms(r)[0] for r in ints]
     coords = []
     for i in range(k):
-        # column q of op is b_i * e_q, in integers over op_den
-        op, op_den = a._int_mult_op(basis_rows.rows[i], left=True)
-        for j, (j_terms, j_den) in enumerate(terms):
-            acc = [sum(r[q] * y for q, y in j_terms) for r in op]
-            sol = solver.solve_ints(acc, op_den * j_den)
+        op = a.left_mult_op(ints[i])
+        for j, j_terms in enumerate(terms):
+            acc = [sum(r[q] * y for q, y in j_terms) for r in op.ints]
+            sol = solver.solve_ints(acc, op.den * d * d)
             if sol is None:
                 raise DimensionMismatch(
                     f"subspace not closed under multiplication at pair ({i},{j})"
@@ -384,9 +373,9 @@ def induced_algebra(
     else:
         # solve u * b_i = b_i = b_i * u in subalgebra coordinates, on the
         # table times den
-        system = RowSolver(MatQ(tuple(
-            tuple(x for i in range(k) for x in rows[s][i] + rows[i][s]) for s in range(k)
-        )))
+        system = RowSolver(MatQ.from_ints((
+            [x for i in range(k) for x in rows[s][i] + rows[i][s]] for s in range(k)
+        ), 1))
         want = [den if t == i else 0 for i in range(k) for _ in range(2) for t in range(k)]
         sol = system.solve_ints(want)
         if sol is None:
@@ -418,7 +407,7 @@ def quotient_algebra_by_subspace(
     table = [[project(a.mul(x, y)) for y in reps] for x in reps]
     labels = tuple(a.basis_labels[f] for f in free)
     quotient = StructureAlgebra.from_table(name, labels, project(a.unit), table)
-    proj_mat = MatQ(tuple(project(a.basis_vec(i)) for i in range(a.dim)))
+    proj_mat = MatQ.from_rows(project(a.basis_vec(i)) for i in range(a.dim))
     return quotient, proj_mat
 
 
@@ -467,7 +456,8 @@ def _annihilator(a: StructureAlgebra, s: Subspace, *, left: bool) -> Subspace:
         raise DimensionMismatch("subspace ambient vs algebra dim")
     if s.dim == 0:
         return Subspace.full(a.dim)
-    rows = [r for v in s.rows for r in a._int_mult_op(v, left=not left)[0]]
+    op = a.right_mult_op if left else a.left_mult_op
+    rows = [r for v in s.rows for r in op(v).ints]
     return Subspace.from_rows(a.dim, kernel_rows(rows, a.dim))
 
 
@@ -696,10 +686,10 @@ def quotient_by_ideal(parent: OrderRing, ideal: LatticeIdeal, *, name: str | Non
         raise CertificateFailure(message="saturated ideal has an invariant factor other than 1")
     v_mat = MatQ.from_rows(v)
     w = inverse(v_mat)  # rows of w are an adapted basis of Z^n
-    if any(x.denominator != 1 for row in w.rows for x in row):
+    if w.den != 1:
         raise CertificateFailure(message="Smith transform is not unimodular")
-    proj = MatQ(tuple(tuple(v_mat.rows[i][j] for j in range(k, n)) for i in range(n)))
-    lifts = tuple(tuple(int(x) for x in w.rows[i]) for i in range(k, n))
+    proj = MatQ.from_ints((r[k:] for r in v), 1)
+    lifts = w.ints[k:]
     q = n - k
     if q == 0:
         empty = StructureAlgebra.from_ints(qname, (), (), 1, ())

@@ -210,7 +210,7 @@ def classical_quotient(facts: OrderFacts) -> QuotientReport:
             rows = []
             for j, comp in enumerate(dec.components):
                 if j != i:
-                    rows.extend(comp.block_rows.rows)
+                    rows.extend(comp.block_rows.ints)
             complement = Subspace.from_rows(alg.dim, rows)
             if p.lattice.span() != complement:
                 match = False

@@ -61,19 +61,19 @@ from .linalg import (
     MatQ,
     RowSolver,
     Subspace,
-    Vec,
     clear_denominators,
     int_kernel,
     int_matmul,
     inverse,
     kernel_rows,
     lattice_intersect_subspace,
-    mat_vec_of,
+    mat_hstack,
     op_apply,
+    over_common_den,
     rank,
     row_times_mat,
-    unit_vec,
     vec,
+    vec_rows,
     zero_vec,
 )
 from .wedderburn import (
@@ -123,11 +123,11 @@ def _non_multiplicative_pair(
 ) -> tuple[int, int] | None:
     """The first basis pair (i, j) with m(b_i b_j) != m(b_i) m(b_j), or None.
 
-    With m cleared once to integer rows M over d, m(b_i b_j) is
+    With m the integer rows M over d, m(b_i b_j) is
     sum_k T_ij[k] M[k] / (src.den d) and m(b_i) m(b_j) is
     dst.mul_terms(M[i], M[j]) / (dst.den d^2); both are compared as integers.
     """
-    ints, d = clear_denominators(m.rows)
+    ints, d = m.ints, m.den
     terms = [[(a, x) for a, x in enumerate(r) if x] for r in ints]
     for i, row in enumerate(src.products):
         for j, prod in enumerate(row):
@@ -192,7 +192,7 @@ def _project_rows(
                     {"component": i}, "a central projection leaves its own block"
                 )
             line.extend(coords)
-    return MatQ(tuple(tuple(line) for line in out))
+    return MatQ.from_rows(out)
 
 
 def canonical_embedding(facts: OrderFacts) -> Embedding:
@@ -460,7 +460,7 @@ def project_embedding(f: Embedding, keep: Sequence[int]) -> tuple[Embedding, Mor
     parts = [(c.algebra, c.centre_dim, c.reduced_degree, c.split_status) for c in comps]
     dec = _product_decomposition(parts, name=f"{f.codomain.parent.name}.proj")
     pr = _project_rows(f.codomain, MatQ.identity(f.codomain_dim).rows, keep)
-    new_map = MatQ(tuple(row_times_mat(f.map.row(t), pr) for t in range(f.domain.rank)))
+    new_map = f.map * pr
     assignment = None
     if f.component_assignment is not None:
         assignment = tuple(f.component_assignment[i] for i in keep)
@@ -576,8 +576,7 @@ def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
 
 def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeIdeal:
     # integer x with sum_t x[t] * left_mats[t] = 0, the matrices over one denominator
-    stacked, _ = clear_denominators([mat_vec_of(m) for m in left_mats])
-    ideal = build_ideal(order, int_kernel(stacked))
+    ideal = build_ideal(order, int_kernel(vec_rows(left_mats).ints))
     if not ideal.saturated:
         raise CertificateFailure(message="annihilator ideal is not saturated")
     return ideal
@@ -710,7 +709,8 @@ def _product_decomposition(parts: Sequence[tuple], *, name: str) -> SemisimpleDe
     idempotents = []
     offset = 0
     for alg, centre_dim, reduced_degree, status in parts:
-        block_rows = MatQ(tuple(unit_vec(total, c) for c in range(offset, offset + alg.dim)))
+        block_rows = MatQ.from_ints(
+            ([1 if j == c else 0 for j in range(total)] for c in range(offset, offset + alg.dim)), 1)
         idem = zero_vec(offset) + alg.unit + zero_vec(total - offset - alg.dim)
         idempotents.append(idem)
         components.append(SimpleComponent(
@@ -737,7 +737,7 @@ def minimize_step(
     domain through left multiplications, and the step emits the verified
     monomorphism of the full product into the original codomain together
     with the projection onto B. Dimension bounds (per component and, when
-    split statuses are certified, total matrix size) are asserted.
+    split statuses are certified, total matrix size) are checked.
     """
     domain = f.domain
     count = len(f.codomain.components)
@@ -798,6 +798,11 @@ def minimize_step(
             if pi != prime_of[k] and image.dim != fac.carrier.dim:
                 raise CertificateFailure({"factor": list(k), "prime": pi},
                                          "another prime acts without full image on a simple carrier")
+    for i, comp in enumerate(f.codomain.components):
+        kept_dim = sum(factors[k].carrier.dim for k in selected_keys if k[0] == i)
+        if kept_dim > comp.dim:
+            raise CertificateFailure({"component": i, "kept_dim": kept_dim, "dim": comp.dim},
+                                     "kept carriers do not fit inside their component")
 
     ends: dict[tuple[int, int], tuple] = {}
     for k in order_keys:
@@ -807,8 +812,7 @@ def minimize_step(
             right_e, budget, name=f"End{k[0]}.{k[1]}", seed=seed
         )
         part = (alg, comp.centre_dim, comp.reduced_degree, comp.split_status)
-        basis_rows = MatQ(tuple(mat_vec_of(m) for m in mats))
-        ends[k] = (part, mats, basis_rows)
+        ends[k] = (part, mats, vec_rows(mats))
 
     resolved = tuple(
         resolve_split_status(c, budget, seed=seed) for c in f.codomain.components
@@ -816,9 +820,12 @@ def minimize_step(
     source_size = None
     if all(c.split_status.matrix_size is not None for c in resolved):
         source_size = sum(c.split_status.matrix_size for c in resolved)
-    for i, comp in enumerate(f.codomain.components):
-        kept_dim = sum(factors[k].carrier.dim for k in selected_keys if k[0] == i)
-        assert kept_dim <= comp.dim, "kept carriers fit inside their component"
+    target_size = None
+    if all(ends[k][0][3].matrix_size is not None for k in selected_keys):
+        target_size = sum(ends[k][0][3].matrix_size for k in selected_keys)
+    if source_size is not None and target_size is not None and target_size > source_size:
+        raise CertificateFailure({"source_size": source_size, "target_size": target_size},
+                                 "the matrix size grew")
 
     lengths: dict[tuple[int, int], int | None] = {}
     for k in selected_keys:
@@ -826,19 +833,14 @@ def minimize_step(
         if size is None:
             lengths[k] = None
             continue
-        num = factors[k].carrier.dim * size
-        den = f.codomain.components[k[0]].dim
-        assert num % den == 0, "carrier length over the component is integral"
-        length = num // den
+        length, rest = divmod(factors[k].carrier.dim * size, f.codomain.components[k[0]].dim)
+        if rest:
+            raise CertificateFailure({"factor": list(k)}, "a carrier length is not integral")
         end_size = ends[k][0][3].matrix_size
-        if end_size is not None:
-            assert end_size == length, "endomorphism matrix size equals the length"
+        if end_size is not None and end_size != length:
+            raise CertificateFailure({"factor": list(k), "length": length, "end_size": end_size},
+                                     "an endomorphism matrix size differs from its length")
         lengths[k] = length
-    target_size = None
-    if all(ends[k][0][3].matrix_size is not None for k in selected_keys):
-        target_size = sum(ends[k][0][3].matrix_size for k in selected_keys)
-    if source_size is not None and target_size is not None:
-        assert target_size <= source_size, "matrix size cannot grow"
 
     base = f.codomain.parent.name
     sel_parts = [ends[k][0] for k in selected_keys]
@@ -851,33 +853,27 @@ def minimize_step(
     else:
         c_dec = b_dec
 
-    coords_cache: dict[tuple[int, int], list[Vec]] = {}
+    # row t of coords[k]: the left action of basis vector t in the basis of End(k)
+    coords: dict[tuple[int, int], MatQ] = {}
     for k in all_keys:
-        fac = factors[k]
         solver = RowSolver(ends[k][2])
+        actions = vec_rows(factors[k].left_action)
         per_basis = []
-        for t in range(domain.rank):
-            coords = solver.solve(mat_vec_of(fac.left_action[t]))
-            if coords is None:
+        for t, v in enumerate(actions.ints):
+            sol = solver.solve_ints(v, actions.den)
+            if sol is None:
                 raise CertificateFailure({"factor": list(k), "basis": t},
                                          "left action does not commute with the right action")
-            per_basis.append(coords)
-        coords_cache[k] = per_basis
+            per_basis.append(sol)
+        coords[k] = MatQ.from_ints(*over_common_den(per_basis))
 
-    phi_map = MatQ(tuple(
-        tuple(x for k in selected_keys for x in coords_cache[k][t])
-        for t in range(domain.rank)
-    ))
+    phi_map = mat_hstack(*(coords[k] for k in selected_keys))
     phi = build_embedding(
         domain, b_dec, phi_map,
         assignment=tuple(prime_of[k] for k in selected_keys),
     )
     if dropped_keys:
-        g_map = MatQ(tuple(
-            tuple(x for k in all_keys for x in coords_cache[k][t])
-            for t in range(domain.rank)
-        ))
-        combined = build_embedding(domain, c_dec, g_map)
+        combined = build_embedding(domain, c_dec, mat_hstack(*(coords[k] for k in all_keys)))
     else:
         combined = phi
 
@@ -886,7 +882,7 @@ def minimize_step(
     for pos, k in enumerate(selected_keys):
         prime = primes[prime_of[k]]
         img = Subspace.from_rows(b_dec.parent.dim, int_matmul(
-            prime.lattice.basis, clear_denominators(phi_map.rows)[0], b_dec.parent.dim))
+            prime.lattice.basis, phi_map.ints, b_dec.parent.dim))
         block = b_dec.components[pos].subspace()
         l_ann = left_annihilator(b_dec.parent, img)
         r_ann = right_annihilator(b_dec.parent, img)
@@ -899,9 +895,7 @@ def minimize_step(
         carriers_by_component.setdefault(k[0], []).append(k)
     proj_data = {}
     for i, keys in carriers_by_component.items():
-        stacked = MatQ(tuple(
-            r for k in keys for r in factors[k].carrier.basis.rows
-        ))
+        stacked = MatQ.from_rows(r for k in keys for r in factors[k].carrier.basis.rows)
         if stacked.nrows != f.codomain.components[i].dim:
             raise CertificateFailure({"component": i, "carrier_dim": stacked.nrows},
                                      "stacked carriers do not fill their component")
@@ -925,7 +919,7 @@ def minimize_step(
             local = op_apply(beta, unit_slice)
             a_local = row_times_mat(local, fac.carrier.basis)
             alpha_rows.append(comp.to_parent(a_local))
-    alpha = MatQ(tuple(alpha_rows))
+    alpha = MatQ.from_rows(alpha_rows)
     alpha_kind = "iso" if c_dec.parent.dim == f.codomain.parent.dim else "mono"
     into_parent = MorphismCertificate(combined, f, alpha, alpha_kind)
     _require_verified(into_parent, "summand reassembly")
@@ -933,10 +927,7 @@ def minimize_step(
     if dropped_keys:
         b_dim = b_dec.parent.dim
         c_dim = c_dec.parent.dim
-        pr = MatQ(tuple(
-            tuple(Fraction(1 if r == c else 0) for c in range(b_dim))
-            for r in range(c_dim)
-        ))
+        pr = MatQ.from_ints(([1 if r == c else 0 for c in range(b_dim)] for r in range(c_dim)), 1)
         onto_selected = MorphismCertificate(combined, phi, pr, "epi")
         _require_verified(onto_selected, "projection")
     else:
@@ -1051,7 +1042,7 @@ def classify(
     candidates = []
     for p in primes:
         img = Subspace.from_rows(parent.dim, int_matmul(
-            p.lattice.basis, clear_denominators(f.map.rows)[0], parent.dim))
+            p.lattice.basis, f.map.ints, parent.dim))
         l_ann = left_annihilator(parent, img)
         r_ann = right_annihilator(parent, img)
         ann_pairs.append((img, l_ann, r_ann))
@@ -1090,9 +1081,10 @@ def classify(
             simple_here = True
         elif result.kind == "not_simple":
             simple_here = False
-            assert result.witness is not None
+            if result.witness is None:
+                raise CertificateFailure({"component": ci}, "a not-simple verdict carries no witness")
             witness = Subspace.from_rows(parent.dim, int_matmul(
-                result.witness.rows, clear_denominators(comp.block_rows.rows)[0], parent.dim))
+                result.witness.rows, comp.block_rows.ints, parent.dim))
         else:
             simple_here = None
         reports.append(PrimeReport(
@@ -1283,9 +1275,7 @@ def reduce_semiprimary(
         sign = 1 if next(x for x in meets[0] if x) > 0 else -1
         raise DomainNotSemiprime(witness=tuple(sign * x for x in meets[0]))
     quotient, projection = semisimple_quotient(target)
-    new_map = MatQ(tuple(
-        row_times_mat(m.row(t), projection) for t in range(order.rank)
-    ))
+    new_map = m * projection
     dec = decompose(quotient, seed=seed)
     emb = build_embedding(order, dec, new_map)
     return SemiprimaryReduction(emb, projection, rad)

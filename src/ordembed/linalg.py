@@ -3,22 +3,25 @@
 Conventions used across the workbench:
 
 * vectors are rows (tuples of Fraction, or of int for lattices);
+* a `MatQ` stores integer rows `ints` over one least positive denominator
+  `den`, so two matrices are equal iff their records are; `rows`, the
+  `Fraction` entries, is a view for documents, tests and element vectors;
 * a `Subspace` stores the RREF of any spanning set, each row scaled to a
   primitive integer row with a positive pivot, so two subspaces are equal
-  iff their rows are; `basis` (the `Fraction` RREF) and `pivots` are views;
+  iff their rows are; `basis` (the RREF as a `MatQ` over the least common
+  pivot) and `pivots` are views;
 * a `Lattice` is canonically the row Hermite normal form (pivots positive,
   entries above a pivot reduced into [0, pivot));
 * operators on a coordinate space are matrices acting on column vectors,
   so composition is matrix multiplication in application order.
 
-The exact kernels work in integers between a rational entry and a rational
-exit, and every elimination is one fraction-free step (`_eliminate`):
-cross-multiplication with the pivot row, then division by the content.
-`rref` reads each row as integers straight from the numerators and
-denominators (an `int` row is taken as it is) and divides by the pivot only
-when it builds the result. `MatQ.__mul__` clears one
-common denominator per operand, multiplies integers and skips zeros. Every
-entry these two return is a `Fraction`.
+The exact kernels work in integers, and every elimination is one
+fraction-free step (`_eliminate`): cross-multiplication with the pivot row,
+then division by the content. `MatQ.__mul__`, `kron`, `rref`, `kernel` and
+`inverse` read the integer rows of their operands and return integer rows
+over one denominator; a rational vector that meets a matrix (`row_times_mat`,
+`op_apply`, `RowSolver.solve`) is cleared once, and only the result is built
+as `Fraction`s.
 `RowSolver` keeps the integer rows of one elimination of [basis | I] over a
 common pivot and solves each vector in integers: `solve_ints` takes the
 vector as integers over a denominator and returns the coefficients the same
@@ -70,63 +73,83 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 @dataclass(frozen=True)
 class MatQ:
-    """Immutable rational matrix, row-major."""
+    """Immutable rational matrix, row-major: the integer rows `ints` over one denominator `den`.
 
-    rows: tuple[Vec, ...]
+    `den` is positive and gcd(den, every entry) == 1, so equal matrices are
+    equal records with equal hashes. `from_rows` clears rational rows once,
+    `from_ints` takes integer rows over a denominator; `rows` is the
+    `Fraction` view, read by documents and element vectors.
+    """
+
+    ints: tuple[IntVec, ...]
+    den: int
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "MatQ":
-        out = tuple(vec(r) for r in rows)
+        """The matrix of rows of `int`, `Fraction` or string entries."""
+        out = [tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r) for r in rows]
         if out and any(len(r) != len(out[0]) for r in out):
             raise DimensionMismatch("ragged rows")
-        return MatQ(out)
+        ints, den = clear_denominators(out)
+        return MatQ(tuple(map(tuple, ints)), den)
+
+    @staticmethod
+    def from_ints(rows: Iterable[Iterable[int]], den: int) -> "MatQ":
+        """The matrix rows / den, for den > 0, with gcd(den, every entry) divided out."""
+        rows = tuple(tuple(r) for r in rows)
+        g = gcd(den, *(x for r in rows for x in r))
+        if g == 1:
+            return MatQ(rows, den)
+        return MatQ(tuple(tuple(x // g for x in r) for r in rows), den // g)
 
     @staticmethod
     def identity(n: int) -> "MatQ":
-        return MatQ(tuple(unit_vec(n, i) for i in range(n)))
+        return MatQ(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)), 1)
 
     @staticmethod
     def zeros(r: int, c: int) -> "MatQ":
-        return MatQ(tuple(zero_vec(c) for _ in range(r)))
+        return MatQ(((0,) * c,) * r, 1)
+
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        """The entries as `Fraction`s: a view for documents, tests and element vectors."""
+        return tuple(rational_row(r, self.den) for r in self.ints)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.ints[0]) if self.ints else 0
 
     @property
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
+        return not any(any(r) for r in self.ints)
 
     def __add__(self, other: "MatQ") -> "MatQ":
         self._check_same_shape(other)
-        return MatQ(tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)))
+        return MatQ.from_rows(vec_add(a, b) for a, b in zip(self.rows, other.rows))
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         self._check_same_shape(other)
-        return MatQ(tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(self.rows, other.rows)))
+        return MatQ.from_rows(tuple(x - y for x, y in zip(a, b)) for a, b in zip(self.rows, other.rows))
 
     def __mul__(self, other: "MatQ") -> "MatQ":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        a, a_den = clear_denominators(self.rows)
-        b, b_den = clear_denominators(other.rows)
-        den = a_den * b_den
-        return MatQ(tuple(rational_row(r, den) for r in int_matmul(a, b, other.ncols)))
+        return MatQ.from_ints(int_matmul(self.ints, other.ints, other.ncols), self.den * other.den)
 
     def scale(self, c) -> "MatQ":
         c = Fraction(c)
-        return MatQ(tuple(tuple(x * c for x in r) for r in self.rows))
+        return MatQ.from_rows(tuple(x * c for x in r) for r in self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def transpose(self) -> "MatQ":
-        return MatQ(tuple(zip(*self.rows))) if self.rows else MatQ(())
+        return MatQ(tuple(zip(*self.ints)), self.den)
 
     def row(self, i: int) -> Vec:
         return self.rows[i]
@@ -140,26 +163,29 @@ def mat_hstack(*mats: MatQ) -> MatQ:
     heights = {m.nrows for m in mats}
     if len(heights) != 1:
         raise DimensionMismatch("hstack height mismatch")
-    return MatQ(tuple(tuple(x for m in mats for x in m.rows[i]) for i in range(mats[0].nrows)))
+    den = lcm(*(m.den for m in mats))
+    return MatQ.from_ints(
+        ([x * (den // m.den) for m in mats for x in m.ints[i]] for i in range(mats[0].nrows)), den)
+
+
+def vec_rows(mats: Sequence[MatQ]) -> MatQ:
+    """The matrix whose row k is the row-major vec of mats[k]."""
+    return MatQ.from_ints(*over_common_den([([x for r in m.ints for x in r], m.den) for m in mats]))
 
 
 def row_times_mat(v: Sequence, m: MatQ) -> Vec:
     if len(v) != m.nrows:
         raise DimensionMismatch("vector/matrix size mismatch")
-    out = [_ZERO] * m.ncols
-    for a, row in zip(v, m.rows):
-        if a:
-            for j, b in enumerate(row):
-                if b:
-                    out[j] += a * b
-    return tuple(out)
+    ints, den = _int_vec(v)
+    return rational_row(int_matmul((ints,), m.ints, m.ncols)[0], den * m.den)
 
 
 def op_apply(m: MatQ, v: Sequence) -> Vec:
     """Apply a column-convention operator to a row vector: (m @ v^T)^T."""
     if len(v) != m.ncols:
         raise DimensionMismatch("operator/vector size mismatch")
-    return tuple(sum((a * b for a, b in zip(row, v) if a and b), _ZERO) for row in m.rows)
+    ints, den = _int_vec(v)
+    return rational_row([sum(a * b for a, b in zip(r, ints) if a) for r in m.ints], den * m.den)
 
 
 def kron(a: MatQ, b: MatQ) -> MatQ:
@@ -168,12 +194,8 @@ def kron(a: MatQ, b: MatQ) -> MatQ:
     With vec(X) the row-major flattening of X as a row vector,
     vec(X @ G) = vec(X) @ kron(I, G) and vec(G @ X) = vec(X) @ kron(G^T, I).
     """
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            rows.append(tuple(a.rows[i][j] * b.rows[k][l]
-                              for j in range(a.ncols) for l in range(b.ncols)))
-    return MatQ(tuple(rows))
+    return MatQ.from_ints(([x * y for x in ra for y in rb] for ra in a.ints for rb in b.ints),
+                          a.den * b.den)
 
 
 def mat_vec_of(m: MatQ) -> Vec:
@@ -181,10 +203,9 @@ def mat_vec_of(m: MatQ) -> Vec:
 
 
 def mat_unvec(v: Sequence, nrows: int, ncols: int) -> MatQ:
-    v = vec(v)
     if len(v) != nrows * ncols:
         raise DimensionMismatch("cannot reshape")
-    return MatQ(tuple(tuple(v[i * ncols + j] for j in range(ncols)) for i in range(nrows)))
+    return MatQ.from_rows(v[i * ncols:(i + 1) * ncols] for i in range(nrows))
 
 
 # -- integer-first elimination --------------------------------------------------
@@ -327,21 +348,16 @@ def int_identity_vec(d: int) -> list[int]:
 
 
 def rref(m: MatQ) -> RrefResult:
-    """Reduced row echelon form with pivot columns.
+    """Reduced row echelon form with pivot columns, its zero rows last.
 
-    Integer-first: the elimination works on integer rows with
-    cross-multiplication and content extraction; each result entry is built
-    once as Fraction(x, pivot).
+    The elimination runs on the integer rows; row k of the result is the
+    integer row k over its pivot entry.
     """
-    rows = [_int_vec(r)[0] for r in m.rows]
-    ncols = m.ncols
-    pivots = _int_rref(rows, ncols)
-    out_rows = []
-    for k, col in enumerate(pivots):
-        pv = rows[k][col]
-        out_rows.append(tuple(Fraction(x, pv) if x else _ZERO for x in rows[k]))
-    reduced = MatQ(tuple(out_rows) + tuple(zero_vec(ncols) for _ in range(len(rows) - len(pivots))))
-    return RrefResult(reduced, tuple(pivots))
+    rows = list(m.ints)
+    pivots = _int_rref(rows, m.ncols)
+    reduced = MatQ.from_ints(*over_common_den([(r, r[c]) for r, c in zip(rows, pivots)]))
+    zeros = ((0,) * m.ncols,) * (m.nrows - len(pivots))
+    return RrefResult(MatQ(reduced.ints + zeros, reduced.den), tuple(pivots))
 
 
 def rank(m: MatQ) -> int:
@@ -370,8 +386,8 @@ def kernel_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 
 def kernel(m: MatQ) -> MatQ:
     """Basis of the right null space {x : m @ x^T = 0}, one vector per row."""
-    rows = kernel_rows([_int_vec(r)[0] for r in m.rows], m.ncols)
-    return MatQ(tuple(rational_row(x, next(t for t in reversed(x) if t)) for x in rows))
+    rows = kernel_rows(list(m.ints), m.ncols)
+    return MatQ.from_ints(*over_common_den([(x, next(t for t in reversed(x) if t)) for x in rows]))
 
 
 def left_kernel(m: MatQ) -> MatQ:
@@ -383,10 +399,11 @@ def inverse(m: MatQ) -> MatQ:
     if m.nrows != m.ncols:
         raise DimensionMismatch("only square matrices invert")
     n = m.nrows
-    aug = rref(mat_hstack(m, MatQ.identity(n)))
-    if aug.pivots != tuple(range(n)):
+    # [m | I] is row-equivalent to [ints | den * I], whose RREF is [I | m^-1]
+    rows = [list(r) + [m.den if j == i else 0 for j in range(n)] for i, r in enumerate(m.ints)]
+    if _int_rref(rows, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
-    return MatQ(tuple(r[n:] for r in aug.matrix.rows[:n]))
+    return MatQ.from_ints(*over_common_den([(r[n:], r[k]) for k, r in enumerate(rows)]))
 
 
 class RowSolver:
@@ -407,9 +424,8 @@ class RowSolver:
         self._nrows = k = basis.nrows
         n = basis.ncols
         rows = []
-        for i, r in enumerate(basis.rows):
-            (ints,), den = clear_denominators((r,))
-            rows.append(_extract_content(ints + [den if j == i else 0 for j in range(k)]))
+        for i, r in enumerate(basis.ints):
+            rows.append(_extract_content(list(r) + [basis.den if j == i else 0 for j in range(k)]))
         pivots = _int_rref(rows, n + k)
         solving = [(col, rows[t]) for t, col in enumerate(pivots) if col < n]
         self._den = lcm(*[row[col] for col, row in solving])
@@ -430,8 +446,7 @@ class RowSolver:
 
     def solve(self, v: Sequence) -> Vec | None:
         """Coefficients x with x @ basis = v, or None if v is outside the span."""
-        (ints,), den = clear_denominators((v,))
-        sol = self.solve_ints(ints, den)
+        sol = self.solve_ints(*_int_vec(v))
         return None if sol is None else rational_row(*sol)
 
     def solve_ints(self, v: Sequence[int], den: int = 1) -> tuple[list[int], int] | None:
@@ -490,7 +505,7 @@ class Subspace:
     @staticmethod
     def image(op: MatQ) -> "Subspace":
         """The column space of a column-convention operator."""
-        return Subspace.from_rows(op.nrows, list(zip(*clear_denominators(op.rows)[0])))
+        return Subspace.from_rows(op.nrows, list(zip(*op.ints)))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -511,15 +526,8 @@ class Subspace:
 
     @cached_property
     def basis(self) -> MatQ:
-        """The RREF basis in `Fraction`s: each row over its pivot entry."""
-        return MatQ(tuple(rational_row(r, r[p]) for r, p in zip(self.rows, self.pivots)))
-
-    @cached_property
-    def _common_pivot(self) -> tuple[tuple[IntVec, ...], int]:
-        """The rows scaled to one pivot entry P, the lcm of theirs, and P: the RREF times P."""
-        p = lcm(*(r[c] for r, c in zip(self.rows, self.pivots)))
-        return tuple(r if r[c] == p else tuple(x * (p // r[c]) for x in r)
-                     for r, c in zip(self.rows, self.pivots)), p
+        """The RREF basis, each row over its pivot entry: integer rows over one common pivot P."""
+        return MatQ.from_ints(*over_common_den([(r, r[c]) for r, c in zip(self.rows, self.pivots)]))
 
     def _residual(self, ints: Sequence[int]) -> list[int]:
         """P * v minus the RREF rows weighted by v's pivot entries: zero iff v is a member.
@@ -528,9 +536,9 @@ class Subspace:
         """
         if len(ints) != self.ambient:
             raise DimensionMismatch("vector/ambient mismatch")
-        rows, p = self._common_pivot
-        residual = [p * x for x in ints]
-        for row, c in zip(rows, self.pivots):
+        basis = self.basis
+        residual = [basis.den * x for x in ints]
+        for row, c in zip(basis.ints, self.pivots):
             f = ints[c]
             if f:
                 for j, x in enumerate(row):
@@ -541,7 +549,7 @@ class Subspace:
     def reduce_vec(self, v: Sequence) -> Vec:
         """Residual of v after eliminating along the basis pivots."""
         ints, den = _int_vec(v)
-        return rational_row(self._residual(ints), den * self._common_pivot[1])
+        return rational_row(self._residual(ints), den * self.basis.den)
 
     def contains_vec(self, v: Sequence) -> bool:
         return not any(self._residual(_int_vec(v)[0]))
@@ -563,7 +571,7 @@ class Subspace:
         if local.ambient != self.dim:
             raise DimensionMismatch("local ambient vs subspace dim")
         return Subspace.from_rows(
-            self.ambient, int_matmul(local.rows, self._common_pivot[0], self.ambient))
+            self.ambient, int_matmul(local.rows, self.basis.ints, self.ambient))
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:

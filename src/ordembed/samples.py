@@ -169,7 +169,7 @@ def trivial_extension(s: StructureAlgebra, copies: int = 1) -> StructureAlgebra:
 
 def random_unimodular(n: int, rng: random.Random, steps: int | None = None) -> MatQ:
     """Product of elementary integer row operations (determinant +-1)."""
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps if steps is not None else 3 * n):
         op = rng.randrange(3)
         i = rng.randrange(n)
@@ -181,7 +181,7 @@ def random_unimodular(n: int, rng: random.Random, steps: int | None = None) -> M
             rows[i], rows[j] = rows[j], rows[i]
         else:
             rows[i] = [-a for a in rows[i]]
-    return MatQ(tuple(tuple(r) for r in rows))
+    return MatQ.from_ints(rows, 1)
 
 
 def change_basis(a: StructureAlgebra, u: MatQ, *, name: str | None = None) -> StructureAlgebra:

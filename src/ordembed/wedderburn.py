@@ -56,12 +56,11 @@ from .linalg import (
     int_matmul,
     kernel_rows,
     left_kernel,
-    mat_unvec,
-    mat_vec_of,
     over_common_den,
     rational_row,
     row_times_mat,
     solve_row,
+    vec_rows,
 )
 
 DECOMPOSE_CANDIDATE_CAP = 5000
@@ -181,7 +180,7 @@ class SimpleComponent:
         return row_times_mat(coords, self.block_rows)
 
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.block_rows.ncols, self.block_rows.rows)
+        return Subspace.from_rows(self.block_rows.ncols, self.block_rows.ints)
 
 
 @dataclass(frozen=True)
@@ -428,7 +427,7 @@ def _idempotent_from_left_ideal(b: StructureAlgebra, z: Vec) -> Vec:
     want = []
     for i in range(k):
         want.extend(ideal_rows.rows[i])
-    coeffs = solve_row(MatQ(tuple(system)), want)
+    coeffs = solve_row(MatQ.from_rows(system), want)
     if coeffs is None:
         raise CertificateFailure(message="semisimple left ideal has no idempotent generator")
     e = row_times_mat(coeffs, ideal_rows)
@@ -450,7 +449,7 @@ def _quaternion_invariants(b: StructureAlgebra) -> tuple[Fraction, Fraction]:
     if n != 4:
         raise CertificateFailure({"dim": n}, "a quaternion algebra has dimension 4")
     # trace-zero subspace of the regular representation
-    tr_rows = MatQ((tuple(b.trace(b.basis_vec(i)) for i in range(n)),))
+    tr_rows = MatQ.from_rows(([b.trace(b.basis_vec(i)) for i in range(n)],))
     v_basis = left_kernel(tr_rows.transpose())
     if v_basis.nrows != 3:
         raise CertificateFailure({"dim": v_basis.nrows}, "the trace-zero part has dimension 3")
@@ -460,7 +459,7 @@ def _quaternion_invariants(b: StructureAlgebra) -> tuple[Fraction, Fraction]:
     for row in v_basis.rows:
         anti = tuple(p + q for p, q in zip(b.mul(u, row), b.mul(row, u)))
         conditions.append(anti)
-    rel = left_kernel(MatQ(tuple(conditions)))
+    rel = left_kernel(MatQ.from_rows(conditions))
     if rel.nrows != 2:
         raise CertificateFailure({"dim": rel.nrows}, "the complement of u has dimension 2")
     v, beta = _scalar_square(b, rel * v_basis)
@@ -484,7 +483,7 @@ def _scalar_square(b: StructureAlgebra, rows: MatQ) -> tuple[Vec, Fraction]:
 
 
 def _as_scalar(b: StructureAlgebra, x: Vec) -> Fraction | None:
-    coeffs = solve_row(MatQ((b.unit,)), x)
+    coeffs = solve_row(MatQ.from_rows((b.unit,)), x)
     return coeffs[0] if coeffs is not None else None
 
 
@@ -598,8 +597,13 @@ class OperatorAlgebra:
         return self.spanned.dim
 
     def basis_matrices(self) -> tuple[MatQ, ...]:
-        d = self.module_dim
-        return tuple(mat_unvec(r, d, d) for r in self.spanned.basis.rows)
+        return _basis_matrices(self.spanned, self.module_dim)
+
+
+def _basis_matrices(sub: Subspace, d: int) -> tuple[MatQ, ...]:
+    """The RREF basis of a subspace of row-major d x d matrices, one matrix per row."""
+    return tuple(MatQ.from_ints((r[i * d:(i + 1) * d] for i in range(d)), r[c])
+                 for r, c in zip(sub.rows, sub.pivots))
 
 
 def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> OperatorAlgebra:
@@ -621,7 +625,7 @@ def operator_algebra(gens: Sequence[MatQ], module_dim: int | None = None) -> Ope
 
 def _closure(gens: tuple[MatQ, ...], d: int) -> Subspace:
     """The body of `operator_algebra`: the span of all words in the generators."""
-    int_gens = [clear_denominators(g.rows)[0] for g in gens]
+    int_gens = [g.ints for g in gens]
 
     def products(x: list[int]) -> Iterable[list[int]]:
         x_rows = [x[i * d:(i + 1) * d] for i in range(d)]
@@ -653,13 +657,12 @@ def _structure_algebra(mats: tuple[MatQ, ...], name: str) -> StructureAlgebra:
     if not mats:
         raise DimensionMismatch("empty matrix basis")
     d, k = mats[0].nrows, len(mats)
-    solver = RowSolver(MatQ(tuple(mat_vec_of(m) for m in mats)))
-    ints = [clear_denominators(m.rows) for m in mats]
+    solver = RowSolver(vec_rows(mats))
     coords = []
-    for x, x_den in ints:
-        for y, y_den in ints:
-            prod = [t for r in int_matmul(x, y, d) for t in r]
-            sol = solver.solve_ints(prod, x_den * y_den)
+    for x in mats:
+        for y in mats:
+            prod = [t for r in int_matmul(x.ints, y.ints, d) for t in r]
+            sol = solver.solve_ints(prod, x.den * y.den)
             if sol is None:
                 raise DimensionMismatch("matrix list not closed under products")
             coords.append(sol)
@@ -689,9 +692,9 @@ def commutant_matrices(e: OperatorAlgebra) -> tuple[MatQ, ...]:
     left kernel: a generator G may be scaled, and so may the basis.
     """
     d = e.module_dim
-    gens = [clear_denominators(g.rows)[0] for g in e.generators if not _is_scalar(g)]
+    gens = [g.ints for g in e.generators if not _is_scalar(g)]
     if not gens:
-        return tuple(mat_unvec(r, d, d) for r in Subspace.full(d * d).basis.rows)
+        return _basis_matrices(Subspace.full(d * d), d)
     # the left kernel of a system is the kernel of its transpose
     basis = kernel_rows(list(zip(*_commutator_system(gens[0]))), d * d)
     for g in gens[1:]:
@@ -699,15 +702,14 @@ def commutant_matrices(e: OperatorAlgebra) -> tuple[MatQ, ...]:
         system = [_commutator_vec(x, g) for x in basis]
         combos = kernel_rows(list(zip(*system)), len(system))
         basis = int_matmul(combos, basis, d * d)
-    sub = Subspace.from_rows(d * d, basis)
-    return tuple(mat_unvec(r, d, d) for r in sub.basis.rows)
+    return _basis_matrices(Subspace.from_rows(d * d, basis), d)
 
 
 def _is_scalar(g: MatQ) -> bool:
-    if not g.rows:
+    if not g.ints:
         return True
-    c = g.rows[0][0]
-    return all(x == (c if i == j else 0) for i, r in enumerate(g.rows) for j, x in enumerate(r))
+    c = g.ints[0][0]
+    return all(x == (c if i == j else 0) for i, r in enumerate(g.ints) for j, x in enumerate(r))
 
 
 def _commutator_system(g: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -811,11 +813,10 @@ def combination_image(coords: Iterable[Sequence], mats: Sequence[MatQ]) -> Subsp
     """The span of the columns of sum_k c[k] * mats[k], over every c in coords.
 
     Each combination is formed once, in integers: the coefficients and the
-    matrices are each cleared over one denominator, which no span notices.
+    matrices are each taken over one denominator, which no span notices.
     """
     d = mats[0].nrows
-    flat, _ = clear_denominators([mat_vec_of(m) for m in mats])
-    sums = int_matmul(clear_denominators(list(coords))[0], flat, d * d)
+    sums = int_matmul(clear_denominators(list(coords))[0], vec_rows(mats).ints, d * d)
     return Subspace.from_rows(d, [s[j::d] for s in sums for j in range(d)])
 
 
@@ -823,16 +824,16 @@ def restrict_op(op: MatQ, w: Subspace) -> MatQ:
     """Matrix of a column-convention operator restricted to an invariant subspace.
 
     Column k is op(b_k) in w's RREF basis b: its pivot entries, read off
-    the integer image of w's row k once that lies in w.
+    the integer image of b's row k once that lies in w. The basis rows and
+    the operator share one denominator each, so every column does too.
     """
-    ints, den = clear_denominators(op.rows)
-    cols = []
-    images = int_matmul(w.rows, list(zip(*ints)), len(ints))
-    for row, col, image in zip(w.rows, w.pivots, images):
+    basis = w.basis
+    images = int_matmul(basis.ints, list(zip(*op.ints)), op.nrows)
+    for image in images:
         if not w.contains_vec(image):
             raise NotInvariant("operator does not preserve the subspace")
-        cols.append(rational_row([image[p] for p in w.pivots], den * row[col]))
-    return MatQ(tuple(zip(*cols)))
+    cols = ([image[p] for p in w.pivots] for image in images)
+    return MatQ.from_ints(zip(*cols), op.den * basis.den)
 
 
 @dataclass(frozen=True)

@@ -43,5 +43,5 @@ def scrambled_semisimple(draw):
     n = alg.dim
     u = random_unimodular(n, random.Random(draw(st.integers(0, 10 ** 6))))
     scales = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 7))) for _ in range(n)]
-    u = MatQ(tuple(tuple(s * x for x in r) for s, r in zip(scales, u.rows)))
+    u = MatQ.from_rows(tuple(tuple(s * x for x in r) for s, r in zip(scales, u.rows)))
     return change_basis(alg, u, name="A")

@@ -57,7 +57,7 @@ F = Fraction
 
 
 def fmat(*rows):
-    return MatQ(tuple(tuple(F(x) for x in r) for r in rows))
+    return MatQ.from_rows(tuple(tuple(F(x) for x in r) for r in rows))
 
 
 def test_group_algebra_c2_basics():
@@ -482,7 +482,7 @@ def scrambled_products(draw):
     n = alg.dim
     u = random_unimodular(n, random.Random(draw(st.integers(0, 10 ** 6))))
     scales = [F(draw(st.integers(1, 5)), draw(st.integers(1, 7))) for _ in range(n)]
-    u = MatQ(tuple(tuple(s * x for x in r) for s, r in zip(scales, u.rows)))
+    u = MatQ.from_rows(tuple(tuple(s * x for x in r) for s, r in zip(scales, u.rows)))
     element = tuple(draw(st.integers(-2, 2)) for _ in range(n))
     return change_basis(alg, u), element
 
@@ -602,7 +602,7 @@ def test_induced_algebra_table_matches_the_fraction_definition(case, scales, see
     n = alg.dim
     # the whole algebra on a scaled unimodular basis, or its centre on a scaled basis
     rows = random_unimodular(n, random.Random(seed)).rows if whole else centre(alg).basis.rows
-    rows = MatQ(tuple(tuple(F(c) * x for x in r) for c, r in zip(scales, rows)))
+    rows = MatQ.from_rows(tuple(tuple(F(c) * x for x in r) for c, r in zip(scales, rows)))
     sub = induced_algebra(alg, rows, name="sub")
     k = rows.nrows
 

@@ -35,10 +35,13 @@ from ordembed.samples import (
     quaternion_algebra,
     rational_algebra,
 )
+from ordembed.wedderburn import SimplicityResult
 
 CORPUS = CORPUS_DIR
 # `Fraction`s constructed by one `decompose --order d4`, as measured.
-FRACTIONS_PER_DECOMPOSE_D4 = 2977
+FRACTIONS_PER_DECOMPOSE_D4 = 2678
+# `Fraction`s constructed by one `analyze --order d4`, as measured.
+FRACTIONS_PER_ANALYZE_D4 = 4816
 
 
 def run_json(command, argv):
@@ -466,7 +469,7 @@ def test_redundant_component_after_reduction_fails_its_certificate(monkeypatch, 
         if tuple(keep) in tried:
             return out
         tried.add(tuple(keep))
-        return MatQ(tuple(tuple(0 * x for x in r) for r in out.rows))
+        return MatQ.from_rows(tuple(tuple(0 * x for x in r) for r in out.rows))
 
     monkeypatch.setattr(embeddings, "_project_rows", late)
     text, code = run_report("minimize", ["--embedding", str(path)])
@@ -614,6 +617,72 @@ def test_other_prime_without_full_image_fails_its_certificate(monkeypatch):
     assert "without full image" in certificate_error(text, code)
 
 
+def test_carriers_larger_than_their_component_fail_their_certificate(monkeypatch):
+    # Each factor claims a carrier three times its size, so the one kept
+    # factor of M2(Q) claims 6 of its 4 dimensions. The check is a raise,
+    # not an assert, so it holds under `python -O` too.
+    def inflated(order, fac):
+        return replace(fac, carrier=Subspace.full(3 * fac.carrier.dim))
+
+    with_ladder_factors(monkeypatch, inflated)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "do not fit inside their component" in certificate_error(text, code)
+
+
+def test_non_integral_carrier_length_fails_its_certificate(monkeypatch):
+    # M2(Q) claims matrix size 3, so a 2-dimensional carrier of its 4
+    # dimensions would have length 3/2.
+    original = embeddings.resolve_split_status
+
+    def size_three(comp, *args, **kwargs):
+        comp = original(comp, *args, **kwargs)
+        return replace(comp, split_status=replace(comp.split_status, matrix_size=3))
+
+    monkeypatch.setattr(embeddings, "resolve_split_status", size_three)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "length is not integral" in certificate_error(text, code)
+
+
+def with_end_size(monkeypatch, size):
+    """The step's endomorphism rings claim matrix size `size`.
+
+    `_simple_summands` names its commutants "End" and keeps the true ones.
+    """
+    original = embeddings.simple_commutant
+
+    def resized(e, budget, *, name, seed=0):
+        alg, comp, mats = original(e, budget, name=name, seed=seed)
+        if name != "End":
+            comp = replace(comp, split_status=replace(comp.split_status, matrix_size=size))
+        return alg, comp, mats
+
+    monkeypatch.setattr(embeddings, "simple_commutant", resized)
+
+
+def test_endomorphism_size_other_than_the_length_fails_its_certificate(monkeypatch):
+    # A length-1 carrier claims an endomorphism ring of matrix size 2, which
+    # the total size 2 of M2(Q) still allows.
+    with_end_size(monkeypatch, 2)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "differs from its length" in certificate_error(text, code)
+
+
+def test_matrix_size_that_grows_fails_its_certificate(monkeypatch):
+    # The kept endomorphism ring claims matrix size 3, more than the size 2
+    # of the M2(Q) it comes from.
+    with_end_size(monkeypatch, 3)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "matrix size grew" in certificate_error(text, code)
+
+
+def test_not_simple_verdict_without_a_witness_fails_its_certificate(monkeypatch):
+    # Every module is declared not simple, with no proper submodule shown.
+    monkeypatch.setattr(embeddings, "certify_simple_module",
+                        lambda *args, **kwargs: SimplicityResult("not_simple", note="unshown"))
+    text, code = run_report("classify", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "carries no witness" in certificate_error(text, code)
+
+
 def test_decompose_of_d4_constructs_a_bounded_number_of_fractions(monkeypatch):
     # The integer echelon is the stored form of every subspace; `Fraction`s
     # appear at the document boundary and in polynomial arithmetic. A change
@@ -630,6 +699,25 @@ def test_decompose_of_d4_constructs_a_bounded_number_of_fractions(monkeypatch):
     monkeypatch.undo()
     assert code == 0
     assert made[0] <= FRACTIONS_PER_DECOMPOSE_D4
+
+
+def test_analyze_of_d4_constructs_a_bounded_number_of_fractions(monkeypatch):
+    # Matrices are integer rows over one denominator, so `analyze`, which
+    # multiplies, restricts and closes operators, builds `Fraction`s only
+    # for documents and element vectors. A change may lower this bound,
+    # never raise it.
+    made = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    text, code = run_report("analyze", order_arg("d4"))
+    monkeypatch.undo()
+    assert code == 0
+    assert made[0] <= FRACTIONS_PER_ANALYZE_D4
 
 
 def test_reports_never_read_the_rational_table(monkeypatch):

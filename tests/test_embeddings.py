@@ -42,7 +42,7 @@ from ordembed.errors import (
     UnmatchedComponents,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import MatQ, Subspace
+from ordembed.linalg import MatQ, Subspace, rank
 from ordembed.samples import (
     cyclic_group_algebra,
     integer_matrix_order,
@@ -58,7 +58,14 @@ from ordembed.samples import (
     upper_triangular_algebra,
 )
 from ordembed.algebra import build_order
-from ordembed.wedderburn import decompose
+from ordembed.wedderburn import (
+    combination_image,
+    commutant_matrices,
+    decompose,
+    matrices_to_algebra,
+    operator_algebra,
+    restrict_op,
+)
 
 F = Fraction
 
@@ -649,3 +656,30 @@ def test_canonical_embeddings_of_seeded_orders_are_elementary(seed):
     assert report.natural and report.elementary is True
     chain = minimize_to_elementary(sigma, BUDGET, seed=seed)
     assert chain.steps == ()
+
+
+def test_integer_kernels_never_read_the_fraction_view(monkeypatch):
+    # A matrix is its integer rows over one denominator; only documents,
+    # tests and element vectors read the `Fraction` view `rows`.
+    alg = matrix_algebra(2)  # basis e11, e12, e21, e22
+    order, dec = integer_matrix_order(2), decompose(alg)
+
+    def unreadable(self):
+        raise AssertionError("Fraction view of a matrix read inside an integer kernel")
+
+    monkeypatch.setattr(MatQ, "rows", property(unreadable))
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    left = [alg.left_mult_op(u) for u in units]
+    right = [alg.right_mult_op(u) for u in units]
+    assert left[0] * left[1] == left[1] and rank(left[0]) == 2
+    action = operator_algebra(left + right, module_dim=4)
+    assert action.dim == 16  # M2(Q) (x) M2(Q)^op is all of End(Q^4)
+    assert len(commutant_matrices(action)) == 1  # the centre, Q
+    assert matrices_to_algebra(action.basis_matrices(), name="E")[0].dim == 16
+    column = Subspace.image(right[0])  # M2(Q) e11, a left ideal
+    assert column.dim == 2 and restrict_op(left[2], column).shape == (2, 2)
+    assert combination_image([units[0]], left) == Subspace.image(left[0])
+    build_embedding(order, dec, MatQ.identity(4))
+    transpose = MatQ.from_ints([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 1)
+    with pytest.raises(ParseError, match="not multiplicative"):
+        build_embedding(order, dec, transpose)

@@ -35,6 +35,7 @@ from ordembed.linalg import (
     snf,
     solve_row,
 )
+from ordembed.samples import quaternion_algebra
 from ordembed.wedderburn import restrict_op
 from strategies import nonzero_scales, wide_entries
 
@@ -129,8 +130,8 @@ def test_rref_frozen():
     assert res.matrix.rows[1] == (F(0), F(1), F(2))
 
 
-# Raw `int` and `Fraction` entries side by side, as MatQ(...) may hold them, with
-# zero rows, negative leading entries and denominators far beyond a machine word.
+# Raw `int` and `Fraction` entries side by side, as `MatQ.from_rows` takes them,
+# with zero rows, negative leading entries and denominators far beyond a machine word.
 mixed_entries = st.one_of(
     st.just(0),
     st.integers(-9, 9),
@@ -140,7 +141,11 @@ mixed_entries = st.one_of(
 
 
 @st.composite
-def mixed_matrices(draw, rows=None, cols=None):
+def mixed_matrices(draw, rows=None, cols=None, *, with_entries=False):
+    """A matrix from raw rows; with_entries=True returns (matrix, raw rows).
+
+    Some rows are written out as strings, as documents give them.
+    """
     r = rows if rows is not None else draw(st.integers(1, 5))
     c = cols if cols is not None else draw(st.integers(1, 5))
     out = []
@@ -151,8 +156,11 @@ def mixed_matrices(draw, rows=None, cols=None):
         row = [draw(mixed_entries) for _ in range(c)]
         if draw(st.booleans()):
             row = [-x for x in row]
+        if draw(st.integers(0, 3)) == 0:
+            row = [str(x) for x in row]
         out.append(tuple(row))
-    return MatQ(tuple(out))
+    m = MatQ.from_rows(tuple(out))
+    return (m, out) if with_entries else m
 
 
 def to_sympy(m: MatQ) -> sympy.Matrix:
@@ -192,6 +200,46 @@ def test_rref_on_mixed_entries_matches_sympy(m):
     assert res.pivots == tuple(pivots)
     assert [list(r) for r in res.matrix.rows] == from_sympy(theirs)
     assert all(type(x) is F for r in res.matrix.rows for x in r)
+
+
+def assert_stored_form(m: MatQ, reference) -> None:
+    """m is integer rows over its least positive den, its view is reference, and a rescaled copy is m."""
+    entries = [x for r in m.ints for x in r]
+    assert all(type(x) is int for x in entries + [m.den])
+    assert m.den > 0 and math.gcd(m.den, *entries) == 1
+    assert [list(r) for r in m.rows] == [[F(x) for x in r] for r in reference]
+    assert all(type(x) is F for r in m.rows for x in r)
+    for k in (2, 7):
+        copy = MatQ.from_ints([[k * x for x in r] for r in m.ints], k * m.den)
+        assert copy == m and hash(copy) == hash(m)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_every_matrix_is_stored_over_its_least_denominator(data):
+    m, raw = data.draw(mixed_matrices(with_entries=True))
+    a = [[F(x) for x in r] for r in raw]
+    assert_stored_form(m, a)
+    b, raw_b = data.draw(mixed_matrices(rows=m.ncols, with_entries=True))
+    bb = [[F(x) for x in r] for r in raw_b]
+    assert_stored_form(b, bb)
+    assert_stored_form(m * b, [[sum(a[i][t] * bb[t][j] for t in range(m.ncols))
+                                for j in range(b.ncols)] for i in range(m.nrows)])
+    assert_stored_form(m.transpose(), list(zip(*a)))
+    assert_stored_form(kron(m, b), [[x * y for x in ra for y in rb] for ra in a for rb in bb])
+    theirs, pivots = to_sympy(m).rref()
+    assert_stored_form(rref(m).matrix, from_sympy(theirs))
+    assert_stored_form(Subspace.from_rows(m.ncols, m.rows).basis, from_sympy(theirs)[:len(pivots)])
+    assert_stored_form(kernel(m), [[F(int(x.p), int(x.q)) for x in v]
+                                   for v in to_sympy(m).nullspace()])
+    if rank(m) == m.nrows:
+        square = m * m.transpose()  # positive definite, so invertible
+        assert_stored_form(inverse(square), from_sympy(to_sympy(square).inv()))
+    alg = quaternion_algebra(F(-1, 2), F(3, 5))
+    _, (element,) = data.draw(mixed_matrices(rows=1, cols=4, with_entries=True))
+    e = [F(x) for x in element]
+    assert_stored_form(alg.left_mult_op(e), [
+        [sum(x * alg.table[i][j][k] for i, x in enumerate(e)) for j in range(4)] for k in range(4)])
 
 
 def test_inverse_roundtrip():

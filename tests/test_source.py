@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import builtins
 import importlib.util
 import inspect
 from pathlib import Path
@@ -66,6 +67,60 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_names(source: str) -> list[str]:
+    """Names a module reads and never binds, builtins aside, sorted.
+
+    A name counts as bound when anything in the module binds it: an
+    assignment target (loops, comprehensions, `with ... as` and `:=`
+    included), a `def` or `class`, an argument, an import or an
+    `except ... as`. Scopes are not told apart, so the scan finds a name
+    that is bound nowhere, such as a helper whose import was dropped.
+    """
+    bound = set(dir(builtins)) | {"__file__"}
+    read = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.append(node.id)
+        elif isinstance(node, ast.Name):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+    return sorted({name for name in read if name not in bound})
+
+
+def test_the_scan_finds_an_undefined_name():
+    source = (
+        "import os.path\n"
+        "from .linalg import MatQ as M, rref\n"
+        "def f(x, *args, k=1, **kw):\n"
+        "    y = [z for z in args if (w := z)]\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        raise exc\n"
+        "    with open(x) as fh:\n"
+        "        pass\n"
+        "    for a, (b, c) in kw.items():\n"
+        "        pass\n"
+        "    return M, os, rref(y), w, k, fh, a, b, c, mat_vec_of(x), len(x)\n"
+        "class C:\n"
+        "    pass\n"
+        "print(C, f, __file__, missing, mat_vec_of)\n"
+    )
+    assert undefined_names(source) == ["mat_vec_of", "missing"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_binds_every_name_it_reads(path):
+    assert undefined_names(path.read_text()) == []
 
 
 def unreferenced_definitions(defining: list[str], referring: list[str]) -> list[str]:

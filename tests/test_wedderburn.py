@@ -71,7 +71,7 @@ F = Fraction
 
 
 def fmat(*rows):
-    return MatQ(tuple(tuple(F(x) for x in r) for r in rows))
+    return MatQ.from_rows(tuple(tuple(F(x) for x in r) for r in rows))
 
 
 # -- radical ------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def generator_sets(draw):
             gens.append(MatQ.identity(d).scale(c))
             continue
         block = draw(st.booleans())
-        gens.append(MatQ(tuple(
+        gens.append(MatQ.from_rows(tuple(
             tuple(F(0) if block and (i < split) != (j < split) else draw(mixed_entries)
                   for j in range(d))
             for i in range(d)
@@ -324,7 +324,7 @@ def test_commutant_matches_kronecker_system_and_sympy(case):
         stacked = mat_hstack(*(kron(eye, g) - kron(g.transpose(), eye) for g in gens))
         expected = Subspace.from_rows(d * d, left_kernel(stacked).rows)
     else:
-        stacked = MatQ(((),) * (d * d))
+        stacked = MatQ.from_rows(((),) * (d * d))
         expected = Subspace.full(d * d)
     assert ours == expected.basis.rows
     assert all(type(x) is F for r in ours for x in r)
@@ -371,7 +371,7 @@ def test_isotypic_single_part_for_multiplicity_two():
 
     def diag(m):
         z = [F(0), F(0)]
-        return MatQ(tuple(tuple(list(r) + z) for r in m.rows)
+        return MatQ.from_rows(tuple(tuple(list(r) + z) for r in m.rows)
                     + tuple(tuple(z + list(r)) for r in m.rows))
 
     e = operator_algebra([diag(e11), diag(e12), diag(e21)])
@@ -387,7 +387,7 @@ def test_restrict_op_requires_invariance():
         restrict_op(swap, w)
     plus = Subspace.from_rows(2, [(F(1), F(1))])
     r = restrict_op(swap, plus)
-    assert r == MatQ(((F(1),),))
+    assert r == MatQ.from_rows(((F(1),),))
 
 
 def test_certify_simple_eigenspace():
@@ -440,7 +440,7 @@ def test_certify_multiplicity_two_finds_copy():
 
     def diag(m):
         z = [F(0), F(0)]
-        return MatQ(tuple(tuple(list(r) + z) for r in m.rows)
+        return MatQ.from_rows(tuple(tuple(list(r) + z) for r in m.rows)
                     + tuple(tuple(z + list(r)) for r in m.rows))
 
     e = operator_algebra([diag(e11), diag(e12), diag(e21)])
@@ -504,9 +504,9 @@ def wide_generator_sets(draw):
         kind = draw(st.integers(0, 3))
         if kind == 0:
             c = draw(wide_entries)
-            gens.append(MatQ(tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d))))
+            gens.append(MatQ.from_rows(tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d))))
         else:
-            gens.append(MatQ(tuple(
+            gens.append(MatQ.from_rows(tuple(
                 tuple(draw(wide_entries) if kind > 1 or i <= j else 0 for j in range(d))
                 for i in range(d)
             )))
