@@ -261,7 +261,7 @@ def load_algebra(doc: dict) -> StructureAlgebra:
         dim = int(doc["dim"])
         basis = list(doc["basis"])
         unit = [rat(x) for x in doc["unit"]]
-        entries = doc.get("table", [])
+        entries = list(doc.get("table", []))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed algebra document: {exc}") from exc
     if dim < 0 or len(basis) != dim or len(unit) != dim:

@@ -16,8 +16,9 @@ The pipeline takes such an embedding apart and rebuilds a smaller one:
   minimize_to_elementary iterates reduction steps to the elementary fixpoint.
 
 All claims ship with checkable witnesses: morphism certificates are matrices
-re-verified entry by entry, annihilators are saturated integer lattices, and
-simplicity always comes from certify_simple_module.
+verified entry by entry once, when they are made, annihilators are saturated
+integer lattices, and the simplicity of a ladder summand comes from the
+split's commutant certificate (wedderburn.simple_pieces).
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ from .wedderburn import (
     restrict_op,
     semisimple_quotient,
     simple_commutant,
+    simple_pieces,
 )
 
 if TYPE_CHECKING:
@@ -172,27 +174,32 @@ def build_embedding(
 
 
 def _project_rows(
-    codomain: SemisimpleDecomposition, rows: Sequence[Sequence], keep: Sequence[int]
+    codomain: SemisimpleDecomposition, rows: MatQ, keep: Sequence[int]
 ) -> MatQ:
     """Each row's block coordinates in the kept components, concatenated.
 
     A row v of the codomain's parent projects onto component i as v * e_i,
     with e_i its central idempotent; the result row lists the block
-    coordinates of v * e_i for each i in `keep`, in that order.
+    coordinates of v * e_i for each i in `keep`, in that order. In
+    integers: the rows times the transpose of the column-convention
+    operator of right multiplication by e_i, solved against the block rows.
     """
     parent = codomain.parent
-    out: list[list] = [[] for _ in rows]
+    blocks = []
     for i in keep:
         comp = codomain.components[i]
+        op = parent.right_mult_op(comp.idempotent)
         solver = RowSolver(comp.block_rows)
-        for line, v in zip(out, rows):
-            coords = solver.solve(parent.mul(vec(v), comp.idempotent))
-            if coords is None:
+        coords = []
+        for v in int_matmul(rows.ints, list(zip(*op.ints)), parent.dim):
+            sol = solver.solve_ints(v, rows.den * op.den)
+            if sol is None:
                 raise CertificateFailure(
                     {"component": i}, "a central projection leaves its own block"
                 )
-            line.extend(coords)
-    return MatQ.from_rows(out)
+            coords.append(sol)
+        blocks.append(MatQ.from_ints(*over_common_den(coords)))
+    return mat_hstack(*blocks)
 
 
 def canonical_embedding(facts: OrderFacts) -> Embedding:
@@ -235,6 +242,8 @@ def load_embedding(
         raise ParseError("embedding document needs domain, codomain and map")
     domain = load_order(resolve(doc["domain"]))
     entries = doc["codomain"]
+    if not isinstance(entries, list):
+        raise ParseError("embedding codomain must be a list")
     if not entries:
         raise ParseError("embedding codomain list is empty")
     parts = []
@@ -253,7 +262,7 @@ def load_embedding(
     codomain = _product_decomposition(parts, name=" x ".join(names))
     try:
         rows = [[Fraction(str(x)) for x in row] for row in doc["map"]]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed map entry: {exc}") from exc
     return build_embedding(domain, codomain, MatQ.from_rows(rows))
 
@@ -274,7 +283,7 @@ def embedding_to_doc(
         doc["codomain"] = list(codomain_refs)
     else:
         doc["codomain"] = [algebra_to_doc(c.algebra) for c in emb.codomain.components]
-    coords = _project_rows(emb.codomain, emb.map.rows, range(len(emb.codomain)))
+    coords = _project_rows(emb.codomain, emb.map, range(len(emb.codomain)))
     doc["map"] = [[str(x) for x in row] for row in coords.rows]
     return doc
 
@@ -374,17 +383,20 @@ class MorphismCertificate:
 
     `alpha` maps the source codomain into the target codomain (one row per
     source parent basis vector) and must satisfy target = alpha after source
-    on every lattice basis vector.
+    on every lattice basis vector. `verified` is set by _require_verified,
+    which runs verify_morphism once; reports read it.
     """
 
     source: Embedding
     target: Embedding
     alpha: MatQ
     kind: str  # "epi" | "mono" | "iso"
+    verified: bool
 
 
 def identity_certificate(f: Embedding) -> MorphismCertificate:
-    return MorphismCertificate(f, f, MatQ.identity(f.codomain_dim), "iso")
+    cert = MorphismCertificate(f, f, MatQ.identity(f.codomain_dim), "iso", verified=False)
+    return _require_verified(cert, "identity")
 
 
 def verify_morphism(cert: MorphismCertificate) -> tuple[bool, dict]:
@@ -430,11 +442,12 @@ def verify_morphism(cert: MorphismCertificate) -> tuple[bool, dict]:
     return ok, diag
 
 
-def _require_verified(cert: MorphismCertificate, what: str) -> None:
-    """Raise CertificateFailure unless verify_morphism accepts `cert`."""
+def _require_verified(cert: MorphismCertificate, what: str) -> MorphismCertificate:
+    """`cert` marked verified once verify_morphism accepts it; else CertificateFailure."""
     ok, diag = verify_morphism(cert)
     if not ok:
         raise CertificateFailure(diag, f"{what} certificate failed: {diag}")
+    return MorphismCertificate(cert.source, cert.target, cert.alpha, cert.kind, verified=True)
 
 
 # -- redundancy reduction -------------------------------------------------------------
@@ -444,7 +457,14 @@ def _require_verified(cert: MorphismCertificate, what: str) -> None:
 class ReduceResult:
     embedding: Embedding
     dropped: tuple[int, ...]
-    certificate: MorphismCertificate
+    projection: MorphismCertificate | None  # None when nothing is dropped
+
+    @property
+    def certificate(self) -> MorphismCertificate:
+        """The certified projection, or the identity, made on demand, when nothing is dropped."""
+        if self.projection is None:
+            return identity_certificate(self.embedding)
+        return self.projection
 
 
 def project_embedding(f: Embedding, keep: Sequence[int]) -> tuple[Embedding, MorphismCertificate]:
@@ -459,15 +479,20 @@ def project_embedding(f: Embedding, keep: Sequence[int]) -> tuple[Embedding, Mor
     comps = [f.codomain.components[i] for i in keep]
     parts = [(c.algebra, c.centre_dim, c.reduced_degree, c.split_status) for c in comps]
     dec = _product_decomposition(parts, name=f"{f.codomain.parent.name}.proj")
-    pr = _project_rows(f.codomain, MatQ.identity(f.codomain_dim).rows, keep)
+    pr = _project_rows(f.codomain, MatQ.identity(f.codomain_dim), keep)
     new_map = f.map * pr
     assignment = None
     if f.component_assignment is not None:
         assignment = tuple(f.component_assignment[i] for i in keep)
     emb = build_embedding(f.domain, dec, new_map, assignment=assignment)
-    cert = MorphismCertificate(f, emb, pr, "epi")
-    _require_verified(cert, "projection")
-    return emb, cert
+    cert = MorphismCertificate(f, emb, pr, "epi", verified=False)
+    return emb, _require_verified(cert, "projection")
+
+
+def _droppable(f: Embedding, keep: Sequence[int], idx: int) -> bool:
+    """Whether f stays injective on the components of `keep` other than idx."""
+    trial = [j for j in keep if j != idx]
+    return bool(trial) and rank(_project_rows(f.codomain, f.map, trial)) == f.domain.rank
 
 
 def reduce_redundant(f: Embedding) -> ReduceResult:
@@ -480,25 +505,18 @@ def reduce_redundant(f: Embedding) -> ReduceResult:
     """
     count = len(f.codomain.components)
     keep = list(range(count))
-    changed = True
-    while changed:
-        changed = False
-        for idx in reversed(keep):
-            if len(keep) == 1:
-                break
-            trial = [j for j in keep if j != idx]
-            if rank(_project_rows(f.codomain, f.map.rows, trial)) == f.domain.rank:
-                keep = trial
-                changed = True
-                break
+    while True:
+        idx = next((i for i in reversed(keep) if _droppable(f, keep, i)), None)
+        if idx is None:
+            break
+        keep.remove(idx)
     for idx in keep:
-        trial = [j for j in keep if j != idx]
-        if trial and rank(_project_rows(f.codomain, f.map.rows, trial)) == f.domain.rank:
+        if _droppable(f, keep, idx):
             raise CertificateFailure(
                 {"component": idx}, "a kept component is redundant after reduction"
             )
     if len(keep) == count:
-        return ReduceResult(f, (), identity_certificate(f))
+        return ReduceResult(f, (), None)
     emb, cert = project_embedding(f, keep)
     dropped = tuple(i for i in range(count) if i not in keep)
     return ReduceResult(emb, dropped, cert)
@@ -537,43 +555,6 @@ class BimoduleLadder:
         return len(self.factors)
 
 
-def _simple_summands(e, budget: int, seed: int) -> list[Subspace]:
-    """Split a semisimple module into simple invariant summands.
-
-    Isotypic parts come first; a part of multiplicity m is cut along the
-    orthogonal idempotents of its commutant, which peel m rank-one blocks.
-    A commutant that resists explicit splitting raises UnresolvedSimplicity.
-    """
-    out: list[Subspace] = []
-    for part in isotypic_split(e, seed=seed):
-        w = part.subspace
-        restricted = operator_algebra(
-            tuple(restrict_op(g, w) for g in e.generators), module_dim=w.dim
-        )
-        _, comp, comm_mats = simple_commutant(restricted, budget, name="End", seed=seed)
-        status = comp.split_status
-        if comp.reduced_degree == 1 or status.kind == "quaternion_division":
-            out.append(w)
-            continue
-        if status.kind == "split" and status.idempotents:
-            n = len(status.idempotents)
-            for eps in status.idempotents:
-                local = combination_image([comp.to_parent(eps)], comm_mats)
-                if local.dim * n != w.dim:
-                    raise CertificateFailure(
-                        {"block_dim": local.dim, "blocks": n, "part_dim": w.dim},
-                        "commutant idempotents cut blocks of unequal size",
-                    )
-                out.append(w.lift(local))
-            continue
-        raise UnresolvedSimplicity(
-            budget,
-            message="isotypic multiplicity not explicitly split: "
-                    + (status.note or status.kind),
-        )
-    return out
-
-
 def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeIdeal:
     # integer x with sum_t x[t] * left_mats[t] = 0, the matrices over one denominator
     ideal = build_ideal(order, int_kernel(vec_rows(left_mats).ints))
@@ -584,7 +565,7 @@ def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeId
 
 def _left_ops_on_component(f: Embedding, index: int) -> tuple[MatQ, ...]:
     algebra = f.codomain.components[index].algebra
-    coords = _project_rows(f.codomain, f.map.rows, (index,))
+    coords = _project_rows(f.codomain, f.map, (index,))
     return tuple(algebra.left_mult_op(row) for row in coords.rows)
 
 
@@ -599,9 +580,11 @@ def bimodule_ladder(
     """Descending chain of sub-bimodules of a component with simple factors.
 
     The chain is assembled from a direct-summand decomposition (the combined
-    action is semisimple for a semiprime domain), so every factor comes with
-    an invariant carrier, its action matrices, a saturated annihilator ideal
-    and a simplicity certificate from certify_simple_module.
+    action is semisimple for a semiprime domain): each isotypic part is cut
+    by simple_pieces, so every factor comes with an invariant carrier, its
+    action matrices, a saturated annihilator ideal and the simplicity
+    certificate of its cut. A part whose commutant resists explicit
+    splitting raises UnresolvedSimplicity.
     """
     d = component.dim
     for m in left_action:
@@ -614,26 +597,27 @@ def bimodule_ladder(
         for k in range(d)
     )
     e = operator_algebra(tuple(left_action) + right_ops, module_dim=d)
-    summands = _simple_summands(e, budget, seed)
-    if sum(s.dim for s in summands) != d:
+    summands: list[tuple[Subspace, SimplicityResult]] = []
+    for w in isotypic_split(e, seed=seed):
+        restricted = operator_algebra(tuple(restrict_op(g, w) for g in e.generators), module_dim=w.dim)
+        pieces, simplicity = simple_pieces(restricted, budget, seed=seed)
+        if not pieces:
+            raise UnresolvedSimplicity(
+                budget, message=f"isotypic multiplicity not explicitly split: {simplicity.note}")
+        summands.extend((w.lift(piece), simplicity) for piece in pieces)
+    if sum(s.dim for s, _ in summands) != d:
         raise CertificateFailure(message="simple summands do not fill the component")
     chain = [Subspace.zero(d)]
-    for s in reversed(summands):
+    for s, _ in reversed(summands):
         chain.append(chain[-1].add(s))
     chain.reverse()
     if chain[0].dim != d:
         raise CertificateFailure(message="simple summands do not span the component")
     factors = []
-    for j, carrier in enumerate(summands):
+    for j, (carrier, simplicity) in enumerate(summands):
         left_restricted = tuple(restrict_op(m, carrier) for m in left_action)
         right_restricted = tuple(restrict_op(m, carrier) for m in right_ops)
         ann = _annihilator_ideal(order, left_restricted)
-        simplicity = certify_simple_module(e, carrier, budget, seed=seed)
-        if simplicity.kind == "unknown":
-            raise UnresolvedSimplicity(budget, partial=tuple(factors))
-        if not simplicity.is_simple:
-            raise CertificateFailure({"factor": j, "note": simplicity.note},
-                                     "a simple summand has a proper submodule")
         factors.append(LadderFactor(
             upper=chain[j],
             lower=chain[j + 1],
@@ -740,10 +724,9 @@ def minimize_step(
     split statuses are certified, total matrix size) are checked.
     """
     domain = f.domain
-    count = len(f.codomain.components)
-    for i in range(count):
-        keep = [j for j in range(count) if j != i]
-        if keep and rank(_project_rows(f.codomain, f.map.rows, keep)) == domain.rank:
+    family = range(len(f.codomain.components))
+    for i in family:
+        if _droppable(f, family, i):
             raise NotIrredundant(f"component {i} can be dropped")
 
     ladders = []
@@ -921,15 +904,15 @@ def minimize_step(
             alpha_rows.append(comp.to_parent(a_local))
     alpha = MatQ.from_rows(alpha_rows)
     alpha_kind = "iso" if c_dec.parent.dim == f.codomain.parent.dim else "mono"
-    into_parent = MorphismCertificate(combined, f, alpha, alpha_kind)
-    _require_verified(into_parent, "summand reassembly")
+    into_parent = _require_verified(
+        MorphismCertificate(combined, f, alpha, alpha_kind, verified=False), "summand reassembly")
 
     if dropped_keys:
         b_dim = b_dec.parent.dim
         c_dim = c_dec.parent.dim
         pr = MatQ.from_ints(([1 if r == c else 0 for c in range(b_dim)] for r in range(c_dim)), 1)
-        onto_selected = MorphismCertificate(combined, phi, pr, "epi")
-        _require_verified(onto_selected, "projection")
+        onto_selected = _require_verified(
+            MorphismCertificate(combined, phi, pr, "epi", verified=False), "projection")
     else:
         onto_selected = identity_certificate(phi)
 
@@ -1153,8 +1136,7 @@ def minimize_to_elementary(f: Embedding, budget: int, *, seed: int = 0) -> Minim
                 return MinimizeChain(tuple(steps), current, report)
             if report.elementary is None:
                 raise UnresolvedSimplicity(
-                    budget, partial=tuple(steps),
-                    message="classification left a simplicity certificate open",
+                    budget, message="classification left a simplicity certificate open"
                 )
         before = current.codomain_dim
         step = minimize_step(current, primes, budget, seed=seed)

@@ -91,11 +91,10 @@ class NotSemiprime(OrdembedError):
 
 
 class UnresolvedSimplicity(OrdembedError):
-    """A bimodule ladder step could not certify simplicity within budget."""
+    """A ladder part's commutant was not split, or classification left simplicity open, within budget."""
 
-    def __init__(self, budget: int, partial=None, message: str | None = None):
+    def __init__(self, budget: int, message: str | None = None):
         self.budget = budget
-        self.partial = partial
         super().__init__(message or f"simplicity unresolved within budget {budget}")
 
 

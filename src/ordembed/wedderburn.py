@@ -776,14 +776,7 @@ def _simple_commutant(
     return alg, resolve_split_status(dec.components[0], budget, seed=seed), mats
 
 
-@dataclass(frozen=True)
-class IsotypicPart:
-    subspace: Subspace
-    component: SimpleComponent
-    image_dim: int
-
-
-def isotypic_split(e: OperatorAlgebra, *, seed: int = 0) -> tuple[IsotypicPart, ...]:
+def isotypic_split(e: OperatorAlgebra, *, seed: int = 0) -> tuple[Subspace, ...]:
     """Isotypic decomposition of the module under a semisimple action."""
     alg, mats = spanned_algebra(e)
     rad = radical(alg)
@@ -792,7 +785,7 @@ def isotypic_split(e: OperatorAlgebra, *, seed: int = 0) -> tuple[IsotypicPart, 
     return _isotypic_parts(alg, mats, e.module_dim, seed=seed)
 
 
-def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed: int) -> tuple[IsotypicPart, ...]:
+def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed: int) -> tuple[Subspace, ...]:
     """Isotypic parts of Q^d under the algebra alg spanned by mats; rad(alg) = 0."""
     dec = _decompose_semisimple(alg, seed=seed)
     parts = []
@@ -801,7 +794,7 @@ def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed
         image = combination_image([comp.idempotent], mats)
         if image.dim == 0:
             raise CertificateFailure(message="a nonzero idempotent matrix has zero image")
-        parts.append(IsotypicPart(image, comp, image.dim))
+        parts.append(image)
         covered += image.dim
     if covered != d:
         raise CertificateFailure({"covered": covered, "module_dim": d},
@@ -848,13 +841,42 @@ class SimplicityResult:
         return self.kind == "simple"
 
 
+def simple_pieces(
+    e: OperatorAlgebra, budget: int, *, seed: int = 0
+) -> tuple[tuple[Subspace, ...], SimplicityResult]:
+    """Cut an isotypic module into simple pieces along its commutant ("End", simple_commutant).
+
+    A field or quaternion-division commutant leaves the module whole, as its
+    one piece. A split M_n(K) with its n certified idempotents cuts it into
+    n equal pieces, each with a corner of M_n(K), the field K, as its
+    endomorphism ring. Returns the pieces with the SimplicityResult each
+    carries; any other commutant gives no pieces and an "unknown" result.
+    """
+    _, comp, mats = simple_commutant(e, budget, name="End", seed=seed)
+    status = comp.split_status
+    whole = (Subspace.full(e.module_dim),)
+    if status.kind == "quaternion_division":
+        return whole, SimplicityResult("simple", note="commutant is quaternion division")
+    if status.kind == "split" and status.matrix_size == 1:
+        return whole, SimplicityResult("simple", note="commutant is a field")
+    if status.kind == "split" and status.idempotents:
+        pieces = tuple(combination_image([comp.to_parent(x)], mats) for x in status.idempotents)
+        for piece in pieces:
+            if piece.dim * len(pieces) != e.module_dim:
+                raise CertificateFailure(
+                    {"block_dim": piece.dim, "blocks": len(pieces), "part_dim": e.module_dim},
+                    "commutant idempotents cut blocks of unequal size")
+        return pieces, SimplicityResult("simple", note="commutant is a field")
+    note = "split commutant without explicit idempotent" if status.kind == "split" else status.note
+    return (), SimplicityResult("unknown", budget=budget, note=note)
+
+
 def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed: int = 0) -> SimplicityResult:
     """Decide simplicity of an invariant subspace under the generated action.
 
     NotSimple witnesses are proper nonzero invariant subspaces in ambient
-    module coordinates. Simplicity certificates go through the commutant:
-    a field (or certified quaternion-division) commutant of an isotypically
-    homogeneous semisimple module forces simplicity.
+    module coordinates. An isotypic semisimple module is simple when
+    simple_pieces leaves it whole; a cut one has its first piece as witness.
 
     When w is the whole module (its canonical RREF basis is the identity)
     the given action is reused as it is: restricting to w would return the
@@ -885,20 +907,10 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
         )
     parts = _isotypic_parts(alg, mats, w.dim, seed=seed)
     if len(parts) > 1:
-        return SimplicityResult("not_simple", witness=w.lift(parts[0].subspace),
+        return SimplicityResult("not_simple", witness=w.lift(parts[0]),
                                 note="multiple isotypic components")
-    _, comp, comm_mats = simple_commutant(sub_action, budget, name="End", seed=seed)
-    status = comp.split_status
-    if status.kind == "split" and status.matrix_size == 1:
-        return SimplicityResult("simple", note="commutant is a field")
-    if status.kind == "quaternion_division":
-        return SimplicityResult("simple", note="commutant is quaternion division")
-    if status.kind == "split":
-        idem = status.idempotents[0] if status.idempotents else None
-        if idem is None:
-            return SimplicityResult("unknown", budget=budget,
-                                    note="split commutant without explicit idempotent")
-        local = combination_image([comp.to_parent(idem)], comm_mats)
-        return SimplicityResult("not_simple", witness=w.lift(local),
+    pieces, simplicity = simple_pieces(sub_action, budget, seed=seed)
+    if len(pieces) > 1:
+        return SimplicityResult("not_simple", witness=w.lift(pieces[0]),
                                 note="commutant contains a proper idempotent")
-    return SimplicityResult("unknown", budget=budget, note=status.note)
+    return simplicity

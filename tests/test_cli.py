@@ -347,6 +347,30 @@ def test_embedding_refs_resolve_next_to_the_file():
     assert "ref:crt" in doc["inputs"] and "ref:m2z" in doc["inputs"]
 
 
+@pytest.mark.parametrize("name", ["demo-crt", "demo-split"])
+def test_each_reported_certificate_is_verified_once(monkeypatch, name):
+    # `_require_verified` checks a certificate when it is made; the report
+    # prints its mark and does not check it again.
+    callers = Counter()
+    original = embeddings.verify_morphism
+
+    def counting(cert):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return original(cert)
+
+    for mod in (embeddings, ordembed.reports):
+        if hasattr(mod, "verify_morphism"):
+            monkeypatch.setattr(mod, "verify_morphism", counting)
+    out, code = run_json("minimize", ["--embedding", str(CORPUS / f"{name}.json")])
+    assert code == 0
+    stages = out["report"]["stages"]
+    certificates = [c for s in stages for c in
+                    ([s["certificate"]] if s["kind"] == "reduce"
+                     else [s["into_parent"], s["onto_selected"]])]
+    assert certificates and all(c["verified"] is True for c in certificates)
+    assert callers == Counter({"ordembed.embeddings": len(certificates)})
+
+
 def test_failed_certificate_exits_one(monkeypatch):
     monkeypatch.setattr(
         embeddings, "verify_morphism", lambda cert, **kwargs: (False, {"triangle": False})
@@ -491,7 +515,7 @@ def test_minimization_that_does_not_shrink_fails_its_certificate(monkeypatch):
 
 def test_left_action_outside_the_commutant_fails_its_certificate(monkeypatch):
     # The step's endomorphism rings come back as zero matrices, so the left
-    # action of the domain has no coordinates in them. `_simple_summands`
+    # action of the domain has no coordinates in them. `simple_pieces`
     # names its commutants "End" and keeps the true ones.
     original = embeddings.simple_commutant
 
@@ -646,7 +670,7 @@ def test_non_integral_carrier_length_fails_its_certificate(monkeypatch):
 def with_end_size(monkeypatch, size):
     """The step's endomorphism rings claim matrix size `size`.
 
-    `_simple_summands` names its commutants "End" and keeps the true ones.
+    `simple_pieces` names its commutants "End" and keeps the true ones.
     """
     original = embeddings.simple_commutant
 
@@ -673,6 +697,25 @@ def test_matrix_size_that_grows_fails_its_certificate(monkeypatch):
     with_end_size(monkeypatch, 3)
     text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
     assert "matrix size grew" in certificate_error(text, code)
+
+
+def test_commutant_idempotents_of_unequal_blocks_fail_their_certificate(monkeypatch):
+    # The commutant of M2(Q) as a right module over itself is M2(Q), split by
+    # two idempotents; with one dropped, the block it cuts is half the part.
+    # The ladder's summands carry the simplicity of this cut, so the check
+    # is what certifies them.
+    original = wedderburn.simple_commutant
+
+    def one_dropped(e, budget, *, name, seed=0):
+        alg, comp, mats = original(e, budget, name=name, seed=seed)
+        status = comp.split_status
+        if name == "End" and len(status.idempotents) > 1:
+            comp = replace(comp, split_status=replace(status, idempotents=status.idempotents[1:]))
+        return alg, comp, mats
+
+    monkeypatch.setattr(wedderburn, "simple_commutant", one_dropped)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-scalar.json")])
+    assert "cut blocks of unequal size" in certificate_error(text, code)
 
 
 def test_not_simple_verdict_without_a_witness_fails_its_certificate(monkeypatch):
@@ -792,6 +835,24 @@ def test_zero_denominators_exit_one(tmp_path, command, role, corrupt):
     assert out["report"]["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("command, role, name, key, value", [
+    ("classify", "--embedding", "demo-scalar", "map", 5),
+    ("classify", "--embedding", "demo-scalar", "codomain", True),
+    ("analyze", "--order", "z", "table", None),
+], ids=["map-number", "codomain-bool", "table-null"])
+def test_malformed_documents_exit_one(tmp_path, command, role, name, key, value):
+    # The references of an embedding resolve next to it, so they are copied along.
+    for ref in ("z", "m2z"):
+        shutil.copy(CORPUS / f"{ref}.json", tmp_path)
+    doc = json.loads((CORPUS / f"{name}.json").read_text())
+    doc[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    text, code = run_report(command, [role, str(path)])
+    assert code == 1
+    assert json.loads(text)["report"]["error"]["type"] == "ParseError"
+
+
 def test_non_injective_embedding_exits_one(tmp_path):
     doc = {
         "domain": order_to_doc(integers_order()),
@@ -824,7 +885,7 @@ def test_bad_ring_maps_exit_one(tmp_path, rows, message, unital, failing_pair):
     source = canonical_embedding(order_facts(load_order(crt)))
     target = load_embedding({"domain": crt, "codomain": codomain,
                              "map": [["1", "1"], ["1", "-1"]]})
-    cert = MorphismCertificate(source, target, MatQ.from_rows(rows), "iso")
+    cert = MorphismCertificate(source, target, MatQ.from_rows(rows), "iso", verified=False)
     ok, diag = verify_morphism(cert)
     assert not ok
     assert diag["unital"] is unital

@@ -1,13 +1,15 @@
 """Embeddings: construction, minimal primes, ladders, minimization, classification."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordembed import embeddings
-from ordembed.algebra import build_ideal, product_algebra
+from ordembed import embeddings, wedderburn
+from ordembed.algebra import build_ideal, load_order, product_algebra
+from ordembed.cli import CORPUS_DIR
 from ordembed.criteria import order_facts
 from ordembed.embeddings import (
     MorphismCertificate,
@@ -28,7 +30,7 @@ from ordembed.embeddings import (
     reduce_semiprimary,
     verify_morphism,
 )
-from ordembed.embeddings import _left_ops_on_component
+from ordembed.embeddings import _left_ops_on_component, _project_rows
 from ordembed.errors import (
     DimensionMismatch,
     DomainNotSemiprime,
@@ -42,7 +44,7 @@ from ordembed.errors import (
     UnmatchedComponents,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import MatQ, Subspace, rank
+from ordembed.linalg import MatQ, RowSolver, Subspace, rank
 from ordembed.samples import (
     cyclic_group_algebra,
     integer_matrix_order,
@@ -66,6 +68,8 @@ from ordembed.wedderburn import (
     operator_algebra,
     restrict_op,
 )
+
+from strategies import wide_entries
 
 F = Fraction
 
@@ -243,7 +247,7 @@ def test_verify_morphism_flags_corrupted_alpha():
     sigma = canonical_embedding(order_facts(crt_order()))
     cert = identity_certificate(sigma)
     bad = MorphismCertificate(
-        cert.source, cert.target, MatQ.from_rows([[1, 0], [1, 1]]), "iso"
+        cert.source, cert.target, MatQ.from_rows([[1, 0], [1, 1]]), "iso", verified=False
     )
     ok, diag = verify_morphism(bad)
     assert not ok
@@ -254,9 +258,70 @@ def test_verify_morphism_checks_declared_kind():
     f = scalar_matrix_embedding()
     step = minimize_step(f, minimal_primes(f.domain), BUDGET)
     cert = step.into_parent
-    as_epi = MorphismCertificate(cert.source, cert.target, cert.alpha, "epi")
+    as_epi = MorphismCertificate(cert.source, cert.target, cert.alpha, "epi", verified=False)
     ok, diag = verify_morphism(as_epi)
     assert not ok and diag["kind"] is False
+
+
+# -- projections onto components --------------------------------------------------------
+
+
+def _corpus(name):
+    return json.loads((CORPUS_DIR / f"{name}.json").read_text())
+
+
+# two product codomains, whose block rows are unit rows, and the decomposed span
+# of d4, whose block rows are not
+PROJECTED = (
+    load_embedding(_corpus("demo-crt"), resolver=_corpus),
+    load_embedding(_corpus("demo-split"), resolver=_corpus),
+    canonical_embedding(order_facts(load_order(_corpus("d4")))),
+)
+
+
+def projected_by_definition(codomain, rows, keep):
+    """The block coordinates of v * e_i for each row v and i in keep, in `Fraction`s."""
+    parent = codomain.parent
+    out = []
+    for v in rows.rows:
+        line = []
+        for i in keep:
+            comp = codomain.components[i]
+            line.extend(RowSolver(comp.block_rows).solve(parent.mul(v, comp.idempotent)))
+        out.append(line)
+    return MatQ.from_rows(out)
+
+
+@st.composite
+def projection_cases(draw):
+    f = draw(st.sampled_from(PROJECTED))
+    n, count = f.codomain_dim, len(f.codomain)
+    rows = draw(st.lists(st.lists(wide_entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    keep = sorted(draw(st.sets(st.integers(0, count - 1), min_size=1)))
+    return f, MatQ.from_rows(rows), keep
+
+
+@given(projection_cases())
+@settings(max_examples=60, deadline=None)
+def test_projected_rows_match_the_fraction_definition(case):
+    f, rows, keep = case
+    assert _project_rows(f.codomain, rows, keep) == projected_by_definition(f.codomain, rows, keep)
+
+
+def test_projecting_rows_constructs_no_fraction(monkeypatch):
+    made = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return original(cls, *args, **kwargs)
+
+    inputs = [(f, rows) for f in PROJECTED for rows in (f.map, MatQ.identity(f.codomain_dim))]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for f, rows in inputs:
+        _project_rows(f.codomain, rows, range(len(f.codomain)))
+    monkeypatch.undo()
+    assert made[0] == 0
 
 
 # -- redundancy reduction -------------------------------------------------------------
@@ -305,6 +370,21 @@ def test_ladder_of_scalars_on_matrix_block():
     assert all(fac.simplicity.is_simple for fac in ladder.factors)
     for fac in ladder.factors:
         assert fac.upper.dim == fac.carrier.dim + fac.lower.dim
+
+
+def test_ladder_takes_each_summands_simplicity_from_its_split(monkeypatch):
+    # `simple_pieces` certified every summand when it cut the component; the
+    # ladder certifies none of them again.
+    called = []
+    for mod in (embeddings, wedderburn):
+        monkeypatch.setattr(mod, "certify_simple_module", lambda *args, **kwargs: called.append(args))
+    f = scalar_matrix_embedding()
+    sigma = canonical_embedding(order_facts(crt_order()))
+    for emb in (f, sigma):
+        for i, comp in enumerate(emb.codomain.components):
+            ladder = bimodule_ladder(emb.domain, comp, _left_ops_on_component(emb, i), BUDGET)
+            assert all(fac.simplicity.note == "commutant is a field" for fac in ladder.factors)
+    assert called == []
 
 
 def test_ladder_of_crt_component_reads_the_prime():

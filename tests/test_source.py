@@ -4,6 +4,9 @@ import ast
 import builtins
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,3 +187,21 @@ def test_every_traced_target_resolves():
             assert inspect.isfunction(raw) or isinstance(raw, staticmethod), target
         else:
             assert callable(getattr(module, attr, None)), target
+
+
+def test_the_command_line_loads_only_the_standard_library_and_the_package():
+    # Every run starts by importing the front end, and no byte code is kept
+    # between runs when PYTHONDONTWRITEBYTECODE is set; so each module it
+    # loads is compiled on every start. The sample constructions are for
+    # tests and the benchmark only.
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import ordembed.cli\n"
+             "print(*sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "ordembed.cli" in loaded
+    foreign = [m for m in loaded if m.split(".")[0] not in sys.stdlib_module_names | {"ordembed"}]
+    assert foreign == []
+    assert "ordembed.samples" not in loaded

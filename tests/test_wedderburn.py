@@ -354,8 +354,8 @@ def test_double_centralizer():
 def test_isotypic_split_of_swap_action():
     e = operator_algebra([fmat((0, 1), (1, 0))])
     parts = isotypic_split(e)
-    assert [p.image_dim for p in parts] == [1, 1]
-    bases = {p.subspace.basis.rows for p in parts}
+    assert [p.dim for p in parts] == [1, 1]
+    bases = {p.basis.rows for p in parts}
     assert bases == {((F(1), F(-1)),), ((F(1), F(1)),)}
 
 
@@ -377,7 +377,7 @@ def test_isotypic_single_part_for_multiplicity_two():
     e = operator_algebra([diag(e11), diag(e12), diag(e21)])
     parts = isotypic_split(e)
     assert len(parts) == 1
-    assert parts[0].image_dim == 4
+    assert parts[0].dim == 4
 
 
 def test_restrict_op_requires_invariance():
@@ -592,7 +592,7 @@ def test_operator_layer_makes_no_products(monkeypatch):
     comp = f.codomain.components[0]
     block = comp.algebra
     left = tuple(block.left_mult_op(r) for r in
-                 _project_rows(f.codomain, f.map.rows, (0,)).rows)
+                 _project_rows(f.codomain, f.map, (0,)).rows)
     right = tuple(block.right_mult_op(block.basis_vec(k)) for k in range(block.dim))
     commuting = commutant_matrices(operator_algebra(left + right, module_dim=block.dim))
     counts = Counter()
