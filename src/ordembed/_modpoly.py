@@ -210,7 +210,8 @@ def _zp_add(f: list[int], g: list[int], m: int) -> list[int]:
 
 
 def _zp_divmod_monic(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    assert g and g[-1] == 1, "divisor must be monic"
+    if not g or g[-1] != 1:
+        raise ValueError("divisor must be monic")
     f = [c % m for c in f]
     trim(f)
     dg = len(g) - 1
@@ -252,7 +253,8 @@ def hensel_lift_pair(f: list[int], g: list[int], h: list[int], p: int, k: int):
     s = mp_mod(s, h, p)
     num = mp_sub([1], mp_mul(s, g, p), p)
     t, rem = mp_divmod(num, h, p)
-    assert not rem
+    if rem:
+        raise ValueError("the Bezout identity fails modulo p")
     g_cur, h_cur, s_cur, t_cur = g, h, s, t
     prec = 1
     while prec < k:

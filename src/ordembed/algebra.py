@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .errors import (
     CertificateFailure,
@@ -128,10 +128,14 @@ class StructureAlgebra:
                     acc[m] += ab * c
         return acc
 
-    def mul(self, u: Sequence, v: Sequence) -> Vec:
+    def mul_ints(self, u: Sequence, v: Sequence) -> tuple[list[int], int]:
+        """The product u * v as an integer row over a denominator; u, v may be rows of `int`."""
         u_terms, u_den = self._int_terms(u)
         v_terms, v_den = self._int_terms(v)
-        return rational_row(self.mul_terms(u_terms, v_terms), self.den * u_den * v_den)
+        return self.mul_terms(u_terms, v_terms), self.den * u_den * v_den
+
+    def mul(self, u: Sequence, v: Sequence) -> Vec:
+        return rational_row(*self.mul_ints(u, v))
 
     def left_mult_op(self, a: Sequence) -> MatQ:
         """Column-convention matrix of v -> a*v: column j is a*b_j, in integers."""
@@ -146,7 +150,7 @@ class StructureAlgebra:
         return MatQ.from_ints(zip(*cols), self.den * den)
 
     @cached_property
-    def _int_traces(self) -> tuple[int, ...]:
+    def int_traces(self) -> tuple[int, ...]:
         """Trace of each basis element's left operator, times den."""
         return tuple(
             sum(c for m, prod in enumerate(row) for p, c in prod if p == m) for row in self.products
@@ -155,43 +159,46 @@ class StructureAlgebra:
     def trace(self, a: Sequence) -> Fraction:
         """Trace of the left regular representation of a."""
         terms, a_den = self._int_terms(a)
-        traces = self._int_traces
+        traces = self.int_traces
         return Fraction(sum(x * traces[i] for i, x in terms), self.den * a_den)
 
     def trace_form(self) -> tuple[list[list[int]], int]:
         """Gram matrix of the trace form, (rows, den): trace(b_i b_j) is rows[i][j] / den."""
-        traces = self._int_traces
+        traces = self.int_traces
         return [[sum(c * traces[m] for m, c in prod) for prod in row]
                 for row in self.products], self.den * self.den
 
-    def minimal_polynomial(self, a: Sequence) -> PolyQ:
-        """Monic generator of {p : p(a) = 0}.
-
-        The power a^k is an integer row over its own denominator. The rows
-        [a^k | e_k], whose second part has room for the dim + 1 powers that
-        must be dependent, go through one integer echelon; a row whose pivot
-        lands in that second part is a relation among the powers.
-        """
-        n = self.dim
+    def int_powers(self, a: Sequence) -> Iterator[tuple[list[int], int]]:
+        """a^0, a^1, a^2, ... without end, each an integer row over its own least denominator."""
         op = self.right_mult_op(a)
         (power,), scale = clear_denominators((self.unit,))
-        scales = [scale]
-        echelon: list[tuple[list[int], int]] = []
         while True:
-            k = len(scales) - 1
-            echelon_insert(echelon, power + [1 if t == k else 0 for t in range(n + 1)])
-            row, pivot = echelon[-1]
-            if pivot >= n:
-                # sum_t comb[t] * scales[t] * a^t == 0, and comb[k] != 0
-                comb = row[n:]
-                lead = comb[k] * scales[k]
-                return PolyQ.make([Fraction(c * s, lead) for c, s in zip(comb, scales)])
+            yield power, scale
             power = [sum(x * y for x, y in zip(r, power) if x) for r in op.ints]
             scale *= op.den
             g = gcd(*power, scale)
             power = [x // g for x in power]
             scale //= g
+
+    def minimal_polynomial(self, a: Sequence) -> PolyQ:
+        """Monic generator of {p : p(a) = 0}.
+
+        The rows [a^k | e_k] of the integer powers, whose second part has
+        room for the dim + 1 powers that must be dependent, go through one
+        integer echelon; a row whose pivot lands in that second part is a
+        relation among the powers, and its integers are the polynomial's.
+        """
+        n = self.dim
+        scales = []
+        echelon: list[tuple[list[int], int]] = []
+        for k, (power, scale) in enumerate(self.int_powers(a)):
             scales.append(scale)
+            echelon_insert(echelon, power + [1 if t == k else 0 for t in range(n + 1)])
+            row, pivot = echelon[-1]
+            if pivot >= n:
+                # sum_t comb[t] * scales[t] * a^t == 0, and comb[k] != 0
+                comb = row[n:]
+                return PolyQ.from_ints((c * s for c, s in zip(comb, scales)), comb[k] * scales[k])
 
 
 def _check_unit(alg: StructureAlgebra) -> None:
@@ -461,15 +468,6 @@ def _annihilator(a: StructureAlgebra, s: Subspace, *, left: bool) -> Subspace:
     return Subspace.from_rows(a.dim, kernel_rows(rows, a.dim))
 
 
-def subspace_product(a: StructureAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Linear span of {x*y : x in u, y in v}."""
-    rows = []
-    for x in u.basis.rows:
-        for y in v.basis.rows:
-            rows.append(a.mul(x, y))
-    return Subspace.from_rows(a.dim, rows)
-
-
 def two_sided_ideal_subspace(a: StructureAlgebra, gens: Iterable[Sequence]) -> Subspace:
     """Smallest two-sided ideal subspace of the Q-algebra containing gens."""
     n = a.dim
@@ -620,27 +618,6 @@ def _saturate_in_order(lat: Lattice) -> Lattice:
 def saturate_ideal(ideal: LatticeIdeal) -> LatticeIdeal:
     sat = _saturate_in_order(ideal.lattice)
     return LatticeIdeal(ideal.parent, sat, saturated=True)
-
-
-def two_sided_ideal_generated(parent: OrderRing, gens: Iterable[Sequence[int]]) -> LatticeIdeal:
-    """Smallest multiplication-closed sublattice containing R*g*R for each g."""
-    n = parent.rank
-    alg = parent.coord_algebra
-    current = Lattice.from_rows(n, [list(map(int, g)) for g in gens])
-    while True:
-        rows = [list(r) for r in current.basis]
-        new_rows = [list(r) for r in current.basis]
-        for g in rows:
-            for i in range(n):
-                e = alg.basis_vec(i)
-                for p in (alg.mul(e, g), alg.mul(g, e)):
-                    new_rows.append([int(x) for x in p])
-        bigger = Lattice.from_rows(n, new_rows)
-        if bigger.basis == current.basis:
-            break
-        current = bigger
-    sat = _saturate_in_order(current)
-    return LatticeIdeal(parent, current, saturated=(sat.basis == current.basis))
 
 
 def is_regular(parent: OrderRing, r: Sequence) -> bool:

@@ -3,23 +3,25 @@
 Rationals are stdlib `fractions.Fraction` (always reduced, denominator
 positive), serialized as "p/q", or "p" when the denominator is 1.
 
-`PolyQ` stores coefficients lowest degree first with no trailing zeros, so
-the zero polynomial is the empty tuple.  Factorization returns monic
-irreducible factors with multiplicities in a deterministic order (degree,
-then lexicographic on coefficient sequences).
+`PolyQ` stores integer coefficients, lowest degree first with no trailing
+zeros, over one least denominator; the `Fraction` coefficients are a view.
+Factorization works in Z[x] and returns monic irreducible factors with
+multiplicities in a deterministic order (degree, then lexicographic on
+coefficient sequences).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Union
+from functools import cached_property
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
+from typing import Iterable, Sequence, Union
 
 from . import _modpoly
 from .errors import ZeroPolynomial
 
-Rat = Fraction
 RatLike = Union[int, str, Fraction]
 
 
@@ -41,16 +43,28 @@ def rat_str(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class PolyQ:
-    """Univariate polynomial over Q; coeffs low degree first, trimmed."""
+    """Univariate polynomial over Q: the coefficients are ints / den, low degree first, trimmed.
 
-    coeffs: tuple[Fraction, ...]
+    den > 0 and gcd(den, every coefficient) == 1, so equal polynomials are equal records.
+    """
+
+    ints: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def from_ints(ints: Iterable[int], den: int = 1) -> "PolyQ":
+        """The polynomial with coefficients ints / den, for any nonzero den."""
+        cs = _modpoly.trim(list(ints))
+        if den < 0:
+            den, cs = -den, [-c for c in cs]
+        g = gcd(den, *cs)
+        return PolyQ(tuple(c // g for c in cs), den // g)
 
     @staticmethod
     def make(coeffs: Iterable[RatLike]) -> "PolyQ":
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return PolyQ(tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return PolyQ.from_ints((c.numerator * (den // c.denominator) for c in cs), den)
 
     @staticmethod
     def zero() -> "PolyQ":
@@ -58,97 +72,68 @@ class PolyQ:
 
     @staticmethod
     def one() -> "PolyQ":
-        return PolyQ((Fraction(1),))
+        return PolyQ((1,))
 
     @staticmethod
     def x() -> "PolyQ":
-        return PolyQ((Fraction(0), Fraction(1)))
+        return PolyQ((0, 1))
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as `Fraction`s, lowest degree first: a view for tests and printing."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return PolyQ.make(out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return PolyQ.from_ints((a * x + b * y for x, y in
+                                zip_longest(self.ints, other.ints, fillvalue=0)), den)
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
         return self + (-other)
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
+        return PolyQ(tuple(-c for c in self.ints), self.den)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero or other.is_zero:
-            return PolyQ.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyQ.make(out)
-
-    def scale(self, c: RatLike) -> "PolyQ":
-        c = rat(c)
-        if c == 0:
-            return PolyQ.zero()
-        return PolyQ(tuple(a * c for a in self.coeffs))
+        return PolyQ.from_ints(_int_mul(self.ints, other.ints), self.den * other.den)
 
     def __pow__(self, e: int) -> "PolyQ":
         result = PolyQ.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for _ in range(e):
+            result = result * self
         return result
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
+        """(q, r) with self == q * other + r, deg r < deg other: from s * A = Q * B + R in integers."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dg = other.degree
-        inv = 1 / other.leading
-        q = [Fraction(0)] * max(len(rem) - dg, 0)
-        while rem and len(rem) - 1 >= dg:
-            c = rem[-1] * inv
-            q[len(rem) - 1 - dg] = c
-            for i in range(dg + 1):
-                rem[len(rem) - 1 - dg + i] -= c * other.coeffs[i]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return PolyQ.make(q), PolyQ.make(rem)
+        q, r, s = _pseudo_divmod(self.ints, other.ints)
+        return (PolyQ.from_ints((c * other.den for c in q), s * self.den),
+                PolyQ.from_ints(r, s * self.den))
 
     def __mod__(self, other: "PolyQ") -> "PolyQ":
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other: "PolyQ") -> "PolyQ":
-        return self.divmod(other)[0]
-
     def monic(self) -> "PolyQ":
         if self.is_zero:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self.scale(1 / self.leading)
-
-    def derivative(self) -> "PolyQ":
-        return PolyQ.make(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return PolyQ.from_ints(self.ints, self.ints[-1])
 
     def eval(self, x: RatLike) -> Fraction:
         x = rat(x)
@@ -173,62 +158,78 @@ class PolyQ:
         return " + ".join(reversed(parts))
 
 
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd; gcd(a, 0) = monic(a), gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else PolyQ.zero()
+# -- integer polynomials: lists of ints, lowest degree first, trimmed ----------
 
 
-def poly_xgcd(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
-    """Extended gcd: (d, s, t) with s*a + t*b = d, d monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = PolyQ.one(), PolyQ.zero()
-    t0, t1 = PolyQ.zero(), PolyQ.one()
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return PolyQ.zero(), s0, t0
-    inv = 1 / r0.leading
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
-def squarefree_decomposition(p: PolyQ) -> list[tuple[PolyQ, int]]:
-    """Yun's algorithm: p = lc * prod(g_i^i) with the g_i monic squarefree."""
-    if p.is_zero:
-        raise ZeroPolynomial("squarefree decomposition of zero")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    d = p.derivative()
-    a = poly_gcd(p, d)
-    b = p // a
-    c = d // a
-    out: list[tuple[PolyQ, int]] = []
+def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s): s * f == q * g + r, deg r < deg g, s = lc(g)^k; after scaling by s each step divides."""
+    lc, dg = g[-1], len(g) - 1
+    k = max(len(f) - dg, 0)
+    s = lc ** k
+    rem = [c * s for c in f]
+    q = [0] * k
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = rem[top] // lc
+        q[top - dg] = c
+        if c:
+            for i in range(dg + 1):
+                rem[top - dg + i] -= c * g[i]
+    return q, _modpoly.trim(rem[:dg]), s
+
+
+def _int_gcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive gcd in Z[x], leading coefficient positive, by primitive pseudo-remainders."""
+    while g:
+        f, g = g, _modpoly._primitive(_pseudo_divmod(f, g)[1])
+    return _modpoly._primitive(f)
+
+
+def _exact_quo(f: list[int], g: list[int]) -> list[int]:
+    """f / g for a primitive g dividing f in Q[x], which is integral (Gauss)."""
+    return _modpoly._int_poly_divmod_exact(f, g)[0]
+
+
+def _int_deriv(f: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _squarefree_parts(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z: f = c * prod(g_i^i) with the g_i primitive and squarefree.
+
+    b and c are divided by the same primitive gcds, so they keep the
+    relation of the rational steps up to one scale, which no gcd notices.
+    """
+    d = _int_deriv(f)
+    a = _int_gcd(f, d)
+    b, c = _exact_quo(f, a), _exact_quo(d, a)
+    out = []
     i = 1
-    while b.degree > 0:
-        step = poly_gcd(b, c - b.derivative())
-        if step.degree > 0:
-            out.append((step.monic(), i))
-        b2 = b // step
-        c = (c - b.derivative()) // step
-        b = b2
+    while len(b) > 1:
+        d = _modpoly.trim([x - y for x, y in zip_longest(c, _int_deriv(b), fillvalue=0)])
+        step = _int_gcd(b, d)
+        if len(step) > 1:
+            out.append((step, i))
+        b, c = _exact_quo(b, step), _exact_quo(d, step)
         i += 1
     return out
 
 
-def _poly_to_primitive_int(p: PolyQ) -> list[int]:
-    """Scale a nonzero rational poly to a primitive integer coefficient list."""
-    den = lcm(*[c.denominator for c in p.coeffs]) if len(p.coeffs) > 1 else p.coeffs[0].denominator
-    ints = [int(c * den) for c in p.coeffs]
-    g = gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _split_quadratic(f: list[int]) -> list[list[int]]:
+    """The primitive irreducible factors of a squarefree quadratic: roots (-c1 -+ root) / (2 * c2)."""
+    c0, c1, c2 = f
+    disc = c1 * c1 - 4 * c0 * c2
+    root = isqrt(disc) if disc > 0 else -1
+    if root * root != disc:
+        return [f]
+    return [_modpoly._primitive([c1 + root, 2 * c2]), _modpoly._primitive([c1 - root, 2 * c2])]
 
 
 def factor_rational_poly(p: PolyQ) -> list[tuple[PolyQ, int]]:
@@ -236,18 +237,19 @@ def factor_rational_poly(p: PolyQ) -> list[tuple[PolyQ, int]]:
 
     The product of the factors (with multiplicities) equals monic(p).
     Output order: ascending degree, then lexicographic on the coefficient
-    sequence.  Raises ZeroPolynomial on the zero polynomial.
+    sequence.  Raises ZeroPolynomial on the zero polynomial.  The squarefree
+    parts of p's primitive multiple split by their discriminant (quadratics)
+    or by Zassenhaus (`_modpoly.factor_squarefree_int`).
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    result: list[tuple[PolyQ, int]] = []
-    for squarefree, mult in squarefree_decomposition(p):
-        ints = _poly_to_primitive_int(squarefree)
-        for fac in _modpoly.factor_squarefree_int(ints):
-            lead = Fraction(fac[-1])
-            monic = PolyQ.make([Fraction(c) / lead for c in fac])
-            result.append((monic, mult))
-    result.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return result
+    found: list[tuple[list[int], int]] = []
+    for part, mult in _squarefree_parts(_modpoly._primitive(list(p.ints))):
+        split = _split_quadratic(part) if len(part) == 3 else _modpoly.factor_squarefree_int(part)
+        found += [(fac, mult) for fac in split]
+    # the monic factors f / lc(f), lc(f) > 0, over one denominator compare as integers
+    den = lcm(*(fac[-1] for fac, _ in found))
+    found.sort(key=lambda fm: (len(fm[0]), [c * (den // fm[0][-1]) for c in fm[0]]))
+    return [(PolyQ.from_ints(fac, fac[-1]), mult) for fac, mult in found]

@@ -198,16 +198,6 @@ def kron(a: MatQ, b: MatQ) -> MatQ:
                           a.den * b.den)
 
 
-def mat_vec_of(m: MatQ) -> Vec:
-    return tuple(x for r in m.rows for x in r)
-
-
-def mat_unvec(v: Sequence, nrows: int, ncols: int) -> MatQ:
-    if len(v) != nrows * ncols:
-        raise DimensionMismatch("cannot reshape")
-    return MatQ.from_rows(v[i * ncols:(i + 1) * ncols] for i in range(nrows))
-
-
 # -- integer-first elimination --------------------------------------------------
 
 

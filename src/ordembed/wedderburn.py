@@ -43,7 +43,7 @@ from .errors import (
     NotSemisimpleAction,
     SearchExhausted,
 )
-from .exact import PolyQ, factor_rational_poly, poly_xgcd
+from .exact import PolyQ, factor_rational_poly
 from .hilbert import ramified_places
 from .linalg import (
     MatQ,
@@ -54,6 +54,7 @@ from .linalg import (
     echelon_closure,
     int_identity_vec,
     int_matmul,
+    kernel,
     kernel_rows,
     left_kernel,
     over_common_den,
@@ -213,33 +214,32 @@ def _centre_candidates(dim: int, seed: int):
             bound += 1
 
 
-def _crt_idempotents(b: StructureAlgebra, z: Vec, factors: list[tuple[PolyQ, int]]) -> list[Vec]:
-    """Orthogonal idempotents from the factored minimal polynomial of z."""
-    m = PolyQ.one()
-    for f, mult in factors:
-        m = m * f ** mult
+def _crt_idempotents(b: StructureAlgebra, z: Sequence, factors: list[tuple[PolyQ, int]]) -> list[Vec]:
+    """Orthogonal idempotents from the factored minimal polynomial of z.
+
+    The i-th is g_i(z), for the g_i of degree below n = deg(prod q_j) that is
+    1 modulo q_i and 0 modulo the other factor powers q_j: one integer solve
+    against the rows of residues of x^k modulo each q_j, k < n.
+    """
+    mods = [f ** mult for f, mult in factors]
+    n = sum(q.degree for q in mods)
+    rows = []
+    residues = [PolyQ.one()] * len(mods)
+    for _ in range(n):
+        blocks, den = over_common_den([(r.ints + (0,) * (q.degree - len(r.ints)), r.den)
+                                       for r, q in zip(residues, mods)])
+        rows.append(([x for block in blocks for x in block], den))
+        residues = [PolyQ.from_ints((0,) + r.ints, r.den) % q for r, q in zip(residues, mods)]
+    solver = RowSolver(MatQ.from_ints(*over_common_den(rows)))
+    if solver.rank != n:
+        raise CertificateFailure(message="coprime factor powers have a nonconstant gcd")
+    powers, den = over_common_den(list(itertools.islice(b.int_powers(z), n)))
     out = []
-    for f, mult in factors:
-        fi = f ** mult
-        hi = m // fi
-        # u_i = h_i^{-1} mod f_i^{mult}
-        d, s, _ = poly_xgcd(hi, fi)
-        if d.degree != 0:
-            raise CertificateFailure(message="coprime factor powers have a nonconstant gcd")
-        u = (s.scale(1 / d.coeffs[0])) % fi
-        g = (hi * u) % m
-        out.append(_eval_poly_at(b, g, z))
-    return out
-
-
-def _eval_poly_at(b: StructureAlgebra, p: PolyQ, z: Vec) -> Vec:
-    """Evaluate p(z) inside b, sending the constant term to the block unit."""
-    out = tuple(Fraction(0) for _ in range(b.dim))
-    power = b.unit
-    for c in p.coeffs:
-        if c:
-            out = tuple(o + c * w for o, w in zip(out, power))
-        power = b.mul(power, z)
+    offset = 0
+    for q in mods:
+        g, g_den = solver.solve_ints([1 if t == offset else 0 for t in range(n)])
+        out.append(rational_row(int_matmul([g], powers, b.dim)[0], g_den * den))
+        offset += q.degree
     return out
 
 
@@ -306,7 +306,8 @@ def _split_blocks(a: StructureAlgebra, seed: int) -> SemisimpleDecomposition:
                     DECOMPOSE_CANDIDATE_CAP,
                     "centre splitting failed to certify a field within the candidate cap",
                 )
-            z = row_times_mat(combo, z_sub.basis)
+            # combo over the RREF basis, times its common pivot
+            z = int_matmul([combo], z_sub.basis.ints, block.dim)[0]
             mp = block.minimal_polynomial(z)
             factors = factor_rational_poly(mp)
             if len(factors) > 1:
@@ -347,17 +348,16 @@ def _split_blocks(a: StructureAlgebra, seed: int) -> SemisimpleDecomposition:
             block_rows=MatQ.identity(a.dim) if rows is None else rows,
         ))
     components.sort(key=lambda comp: (comp.dim, comp.idempotent))
-    # consistency: orthogonality and completeness of the idempotents
-    total = tuple(Fraction(0) for _ in range(a.dim))
+    # consistency, in integers: idempotent, summing to the unit, orthogonal
     for i, comp in enumerate(components):
-        total = tuple(x + y for x, y in zip(total, comp.idempotent))
-        if a.mul(comp.idempotent, comp.idempotent) != comp.idempotent:
+        if not _is_idempotent(a, comp.idempotent):
             raise CertificateFailure({"component": i}, f"idempotent {i} does not square to itself")
-    if total != a.unit:
+    (*idems, unit), _ = clear_denominators([comp.idempotent for comp in components] + [a.unit])
+    if [sum(col) for col in zip(*idems)] != unit:
         raise CertificateFailure(message="central idempotents do not sum to the unit")
-    for i, ci in enumerate(components):
-        for j, cj in enumerate(components):
-            if i != j and any(a.mul(ci.idempotent, cj.idempotent)):
+    for i, ei in enumerate(idems):
+        for j, ej in enumerate(idems):
+            if i != j and any(a.mul_ints(ei, ej)[0]):
                 raise CertificateFailure(
                     {"components": [i, j]}, f"idempotents {i} and {j} are not orthogonal"
                 )
@@ -369,19 +369,19 @@ def _split_blocks(a: StructureAlgebra, seed: int) -> SemisimpleDecomposition:
 
 
 def _candidate_elements(b: StructureAlgebra, seed: int):
-    """Deterministic stream of integer elements of b for the splitting search."""
+    """Deterministic stream of integer elements of b, as rows of `int`, for the splitting search."""
     n = b.dim
-    for i in range(n):
-        yield b.basis_vec(i)
+    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    yield from basis
     for i in range(n):
         for j in range(i + 1, n):
-            yield tuple(x + y for x, y in zip(b.basis_vec(i), b.basis_vec(j)))
-            yield tuple(x - y for x, y in zip(b.basis_vec(i), b.basis_vec(j)))
+            yield tuple(x + y for x, y in zip(basis[i], basis[j]))
+            yield tuple(x - y for x, y in zip(basis[i], basis[j]))
     rng = random.Random(seed)
     bound = 1
     count = 0
     while True:
-        v = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+        v = tuple(rng.randint(-bound, bound) for _ in range(n))
         if any(v):
             yield v
         count += 1
@@ -389,12 +389,12 @@ def _candidate_elements(b: StructureAlgebra, seed: int):
             bound += 1
 
 
-def _find_zero_divisor(b: StructureAlgebra, budget: int, seed: int) -> tuple[Vec | None, int]:
+def _find_zero_divisor(b: StructureAlgebra, budget: int, seed: int) -> tuple[list[int] | None, int]:
     """A nonzero non-invertible element of b, or None when budget runs out.
 
     Looks for elements with reducible minimal polynomial; if p = f*g with f
     irreducible, f evaluated at the element is a zero divisor. Returns the
-    witness and the budget spent.
+    witness, as an integer row up to a positive scale, and the budget spent.
     """
     spent = 0
     for cand in _candidate_elements(b, seed):
@@ -408,32 +408,35 @@ def _find_zero_divisor(b: StructureAlgebra, budget: int, seed: int) -> tuple[Vec
         if len(factors) == 1 and factors[0][1] == 1:
             continue
         f, _mult = factors[0]
-        z = _eval_poly_at(b, f, cand)
+        powers, _ = over_common_den(list(itertools.islice(b.int_powers(cand), len(f.ints))))
+        z = int_matmul([f.ints], powers, b.dim)[0]
         if any(z):
             return z, spent
     return None, spent
 
 
-def _idempotent_from_left_ideal(b: StructureAlgebra, z: Vec) -> Vec:
-    """The idempotent generator of the left ideal b*z (b semisimple)."""
-    ideal_rows = Subspace.image(b.right_mult_op(z)).basis
-    k = ideal_rows.nrows
-    system = []
-    for t in range(k):
-        row = []
-        for i in range(k):
-            row.extend(b.mul(ideal_rows.rows[i], ideal_rows.rows[t]))
-        system.append(tuple(row))
-    want = []
-    for i in range(k):
-        want.extend(ideal_rows.rows[i])
-    coeffs = solve_row(MatQ.from_rows(system), want)
+def _idempotent_from_left_ideal(b: StructureAlgebra, z: Sequence) -> Vec:
+    """The idempotent generator of the left ideal b*z (b semisimple).
+
+    e = sum c_t r_t over the RREF basis r_i = R_i / P with r_i * e = r_i for
+    every i; times den * P^2, sum_t c_t R_i R_t = den * P * R_i in integers.
+    """
+    ideal = Subspace.image(b.right_mult_op(z)).basis
+    system = ([x for ri in ideal.ints for x in b.mul_ints(ri, rt)[0]] for rt in ideal.ints)
+    coeffs = solve_row(MatQ.from_ints(system, 1),
+                       [b.den * ideal.den * x for r in ideal.ints for x in r])
     if coeffs is None:
         raise CertificateFailure(message="semisimple left ideal has no idempotent generator")
-    e = row_times_mat(coeffs, ideal_rows)
-    if b.mul(e, e) != e:
+    e = row_times_mat(coeffs, ideal)
+    if not _is_idempotent(b, e):
         raise CertificateFailure(message="left ideal generator does not square to itself")
     return e
+
+
+def _is_idempotent(b: StructureAlgebra, e: Sequence) -> bool:
+    """e * e == e, compared in integers."""
+    (ints,), den = clear_denominators((e,))
+    return b.mul_ints(ints, ints)[0] == [b.den * den * x for x in ints]
 
 
 def _quaternion_invariants(b: StructureAlgebra) -> tuple[Fraction, Fraction]:
@@ -449,32 +452,34 @@ def _quaternion_invariants(b: StructureAlgebra) -> tuple[Fraction, Fraction]:
     if n != 4:
         raise CertificateFailure({"dim": n}, "a quaternion algebra has dimension 4")
     # trace-zero subspace of the regular representation
-    tr_rows = MatQ.from_rows(([b.trace(b.basis_vec(i)) for i in range(n)],))
-    v_basis = left_kernel(tr_rows.transpose())
+    v_basis = kernel(MatQ.from_ints([b.int_traces], 1))
     if v_basis.nrows != 3:
         raise CertificateFailure({"dim": v_basis.nrows}, "the trace-zero part has dimension 3")
     u, alpha = _scalar_square(b, v_basis)
-    # orthogonal complement of u in V under the form x*y + y*x
-    conditions = []
-    for row in v_basis.rows:
-        anti = tuple(p + q for p, q in zip(b.mul(u, row), b.mul(row, u)))
-        conditions.append(anti)
-    rel = left_kernel(MatQ.from_rows(conditions))
+    # orthogonal complement of u in V under the form x*y + y*x; u and the
+    # rows are integer multiples, which leave the relations as they are
+    conditions = [[p + q for p, q in zip(b.mul_ints(u, row)[0], b.mul_ints(row, u)[0])]
+                  for row in v_basis.ints]
+    rel = left_kernel(MatQ.from_ints(conditions, 1))
     if rel.nrows != 2:
         raise CertificateFailure({"dim": rel.nrows}, "the complement of u has dimension 2")
     v, beta = _scalar_square(b, rel * v_basis)
-    if any(p + q for p, q in zip(b.mul(u, v), b.mul(v, u))):
+    if any(p + q for p, q in zip(b.mul_ints(u, v)[0], b.mul_ints(v, u)[0])):
         raise CertificateFailure(message="u and v do not anticommute")
     return alpha, beta
 
 
-def _scalar_square(b: StructureAlgebra, rows: MatQ) -> tuple[Vec, Fraction]:
-    """The first combination of rows, coefficients in {-1, 0, 1}, with a nonzero scalar square."""
+def _scalar_square(b: StructureAlgebra, rows: MatQ) -> tuple[list[int], Fraction]:
+    """The first combination of rows, coefficients in {-1, 0, 1}, with a nonzero scalar square.
+
+    The combination comes back as an integer row, rows.den times the element.
+    """
     for combo in itertools.product((-1, 0, 1), repeat=rows.nrows):
         if not any(combo):
             continue
-        cand = row_times_mat(combo, rows)
-        sq = _as_scalar(b, b.mul(cand, cand))
+        cand = int_matmul([combo], rows.ints, rows.ncols)[0]
+        prod, den = b.mul_ints(cand, cand)
+        sq = _as_scalar(b, (prod, den * rows.den ** 2))
         if sq is None:
             raise CertificateFailure(message="the square of a trace-zero element is not scalar")
         if sq != 0:
@@ -482,9 +487,14 @@ def _scalar_square(b: StructureAlgebra, rows: MatQ) -> tuple[Vec, Fraction]:
     raise CertificateFailure(message="the norm form vanishes on {-1, 0, 1}^dim")
 
 
-def _as_scalar(b: StructureAlgebra, x: Vec) -> Fraction | None:
-    coeffs = solve_row(MatQ.from_rows((b.unit,)), x)
-    return coeffs[0] if coeffs is not None else None
+def _as_scalar(b: StructureAlgebra, x: tuple[list[int], int]) -> Fraction | None:
+    """The rational c with ints / den == c * unit for x = (ints, den), or None."""
+    ints, den = x
+    (unit,), unit_den = clear_denominators((b.unit,))
+    p = next(i for i, t in enumerate(unit) if t)
+    if any(s * unit[p] != t * ints[p] for s, t in zip(ints, unit)):
+        return None
+    return Fraction(ints[p] * unit_den, den * unit[p])
 
 
 def resolve_split_status(component: SimpleComponent, budget: int, *, seed: int = 0) -> SimpleComponent:

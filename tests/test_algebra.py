@@ -27,7 +27,6 @@ from ordembed.algebra import (
     quotient_by_ideal,
     right_annihilator,
     saturate_ideal,
-    two_sided_ideal_generated,
     two_sided_ideal_subspace,
 )
 from ordembed.cli import CORPUS_DIR, run_report
@@ -51,6 +50,7 @@ from ordembed.samples import (
     upper_triangular_algebra,
 )
 
+from fraction_reference import two_sided_ideal_generated
 from strategies import nonzero_scales, wide_entries
 
 F = Fraction

@@ -39,9 +39,9 @@ from ordembed.wedderburn import SimplicityResult
 
 CORPUS = CORPUS_DIR
 # `Fraction`s constructed by one `decompose --order d4`, as measured.
-FRACTIONS_PER_DECOMPOSE_D4 = 2678
+FRACTIONS_PER_DECOMPOSE_D4 = 847
 # `Fraction`s constructed by one `analyze --order d4`, as measured.
-FRACTIONS_PER_ANALYZE_D4 = 4816
+FRACTIONS_PER_ANALYZE_D4 = 1523
 
 
 def run_json(command, argv):
@@ -727,9 +727,10 @@ def test_not_simple_verdict_without_a_witness_fails_its_certificate(monkeypatch)
 
 
 def test_decompose_of_d4_constructs_a_bounded_number_of_fractions(monkeypatch):
-    # The integer echelon is the stored form of every subspace; `Fraction`s
-    # appear at the document boundary and in polynomial arithmetic. A change
-    # may lower this bound, never raise it.
+    # The integer echelon is the stored form of every subspace, and
+    # polynomials are integer rows; `Fraction`s appear at the document
+    # boundary and in element vectors. A change may lower this bound, never
+    # raise it.
     made = [0]
     original = Fraction.__new__
 

@@ -7,16 +7,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from ordembed import _modpoly
 from ordembed.errors import ZeroPolynomial
-from ordembed.exact import (
-    PolyQ,
-    factor_rational_poly,
-    poly_gcd,
-    poly_xgcd,
-    rat,
-    rat_str,
-    squarefree_decomposition,
-)
+from ordembed.exact import PolyQ, factor_rational_poly, rat, rat_str
 from ordembed.errors import SearchExhausted
 from ordembed.hilbert import (
     INF_PLACE,
@@ -27,6 +20,14 @@ from ordembed.hilbert import (
     ramified_places,
     relevant_places,
     squarefree_core,
+)
+from fraction_reference import (
+    fraction_add,
+    fraction_divmod,
+    fraction_mul,
+    poly_gcd,
+    poly_xgcd,
+    squarefree_decomposition,
 )
 
 
@@ -59,6 +60,30 @@ def test_poly_basics():
 def test_poly_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         P(1, 1).divmod(PolyQ.zero())
+
+
+def test_poly_stores_integers_over_one_least_denominator():
+    p = P(F(1, 2), F(-2, 3), 0, 0)
+    assert (p.ints, p.den) == ((3, -4), 6)
+    assert p.coeffs == (F(1, 2), F(-2, 3))
+    assert PolyQ.from_ints([6, -8, 0], 12) == p
+    assert PolyQ.from_ints([-3, 4], -6) == p
+    assert PolyQ.from_ints([0, 0], 5) == PolyQ.zero() == PolyQ((), 1)
+    assert (p.monic().ints, p.monic().den) == ((-3, 4), 4)
+
+
+rational_coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=6)
+
+
+@given(rational_coeffs, rational_coeffs)
+@settings(deadline=None, max_examples=150)
+def test_integer_arithmetic_matches_fractions(a, b):
+    a, b = PolyQ.make(a), PolyQ.make(b)
+    assert a + b == fraction_add(a, b)
+    assert a * b == fraction_mul(a, b)
+    assert a - b == fraction_add(a, -b)
+    if not b.is_zero:
+        assert a.divmod(b) == fraction_divmod(a, b)
 
 
 def test_gcd_examples():
@@ -99,6 +124,8 @@ FACTOR_CASES = [
     (P(1, 3, 2), [((F(1, 2), F(1)), 1), ((F(1), F(1)), 1)]),
     (P(-N400, 0, 1), [((F(-N400), F(0), F(1)), 1)]),
     (P(-N400, 1) * P(N400, 1), [((F(-N400), F(1)), 1), ((F(N400), F(1)), 1)]),
+    # a cubic, so Zassenhaus runs; its first good prime is above 400
+    (P(-N400, 0, 1) * P(-1, 1), [((F(-1), F(1)), 1), ((F(-N400), F(0), F(1)), 1)]),
 ]
 
 
@@ -164,18 +191,50 @@ def test_factor_fixpoint(p):
         assert again == [(f, 1)]
 
 
-@given(polys(max_degree=6))
-@settings(deadline=None, max_examples=60)
+@st.composite
+def factor_products(draw, max_degree=8):
+    """A rational multiple of a product of small factors of degree 1 to 3, some repeated.
+
+    Random small factors are often reducible themselves, so reducible
+    quadratics and cubics and repeated factors are common.
+    """
+    p = PolyQ.make([draw(small_rational.filter(bool))])
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        mult = draw(st.integers(1, 2))
+        if p.degree + degree * mult > max_degree:
+            break
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree, max_size=degree))
+        p = p * P(*coeffs, draw(st.integers(1, 3))) ** mult
+    return p
+
+
+@given(st.one_of(factor_products(), polys(max_degree=6)))
+@settings(deadline=None, max_examples=120)
 def test_factor_matches_sympy(p):
     x = sympy.symbols("x")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
                for i, c in enumerate(p.coeffs))
     _, sym_factors = sympy.factor_list(sympy.Poly(expr, x))
-    theirs = sorted(
-        (sympy.Poly(f, x).monic().degree(), m) for f, m in sym_factors
-    )
-    ours = sorted((f.degree, m) for f, m in factor_rational_poly(p))
-    assert ours == theirs
+    theirs = []
+    for f, m in sym_factors:
+        monic = sympy.Poly(f, x).monic().all_coeffs()[::-1]
+        theirs.append((tuple(F(int(c.p), int(c.q)) for c in monic), m))
+    ours = [(f.coeffs, m) for f, m in factor_rational_poly(p)]
+    assert ours == sorted(theirs, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+def test_non_monic_hensel_divisor_raises():
+    # The checks are raises, not asserts, so they hold under `python -O` too.
+    with pytest.raises(ValueError, match="monic"):
+        _modpoly._zp_divmod_monic([1, 2, 3], [1, 2], 49)
+
+
+def test_false_bezout_pair_in_hensel_lift_raises(monkeypatch):
+    # x^2 + 1 = (x + 2)(x + 3) mod 5, but s = 1, t = 0 is no Bezout pair.
+    monkeypatch.setattr(_modpoly, "mp_xgcd", lambda g, h, p: ([1], [1], []))
+    with pytest.raises(ValueError, match="Bezout"):
+        _modpoly.hensel_lift_pair([1, 0, 1], [2, 1], [3, 1], 5, 3)
 
 
 def test_gcd_of_product_families():

@@ -24,8 +24,6 @@ from ordembed.linalg import (
     lattice_intersect_subspace,
     left_kernel,
     mat_hstack,
-    mat_unvec,
-    mat_vec_of,
     op_apply,
     rank,
     rational_row,
@@ -37,6 +35,7 @@ from ordembed.linalg import (
 )
 from ordembed.samples import quaternion_algebra
 from ordembed.wedderburn import restrict_op
+from fraction_reference import mat_unvec, mat_vec_of
 from strategies import nonzero_scales, wide_entries
 
 small_entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)

@@ -170,6 +170,21 @@ def test_every_definition_is_named_somewhere():
     assert unreferenced_definitions([p.read_text() for p in MODULES], referring) == []
 
 
+def assert_lines(source: str) -> list[int]:
+    """The line of each `assert` statement, which `python -O` removes."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_finds_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'kept'\n") == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_checks_with_raises_not_asserts(path):
+    # A check that `python -O` removes would let a broken certificate pass.
+    assert assert_lines(path.read_text()) == []
+
+
 def test_every_traced_target_resolves():
     # `Tracer.install` looks each target up by its string: a module
     # attribute, or a function or staticmethod in its class's __dict__. A

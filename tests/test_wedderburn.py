@@ -15,7 +15,6 @@ from ordembed.algebra import (
     build_algebra,
     induced_algebra,
     quotient_algebra_by_subspace,
-    subspace_product,
 )
 from ordembed.cli import CORPUS_DIR
 from ordembed.embeddings import _project_rows, load_embedding
@@ -31,8 +30,6 @@ from ordembed.linalg import (
     kron,
     left_kernel,
     mat_hstack,
-    mat_unvec,
-    mat_vec_of,
     op_apply,
     unit_vec,
 )
@@ -48,7 +45,7 @@ from ordembed.samples import (
     upper_triangular_algebra,
 )
 from ordembed import wedderburn
-from ordembed.exact import PolyQ
+from ordembed.exact import PolyQ, factor_rational_poly
 from ordembed.wedderburn import (
     certify_simple_module,
     commutant_matrices,
@@ -65,6 +62,7 @@ from ordembed.wedderburn import (
     simple_commutant,
 )
 
+from fraction_reference import crt_idempotents, mat_unvec, mat_vec_of, subspace_product
 from strategies import nonzero_scales, scrambled_semisimple, wide_entries
 
 F = Fraction
@@ -129,6 +127,59 @@ def test_decompose_rejects_nonsemisimple():
     with pytest.raises(NotSemisimple) as exc:
         decompose(upper_triangular_algebra(2))
     assert exc.value.radical.dim == 1
+
+
+@st.composite
+def poly_quotients(draw):
+    """Q[x]/(p) for p a product of up to three small factors, some repeated, of degree 2 to 6."""
+    p = PolyQ.one()
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 2))
+        mult = draw(st.integers(1, 2))
+        if p.degree + degree * mult > 6:
+            break
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree))
+        p = p * PolyQ.make(coeffs + [draw(st.integers(1, 2))]) ** mult
+    if p.degree < 2:
+        p = p * PolyQ.make([draw(st.integers(-3, 3)), 1])
+    return poly_quotient_algebra(p)
+
+
+@given(poly_quotients(), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+@settings(deadline=None, max_examples=60)
+def test_crt_idempotents_match_the_xgcd_reference(alg, coeffs):
+    # z = x, and an integer combination of 1, x, x^2, ... as a row of `int`
+    for z in (alg.basis_vec(1), tuple(coeffs[:alg.dim])):
+        factors = factor_rational_poly(alg.minimal_polynomial(z))
+        if not factors:
+            continue
+        ours = wedderburn._crt_idempotents(alg, z, factors)
+        assert ours == crt_idempotents(alg, z, factors)
+        assert tuple(map(sum, zip(*ours))) == alg.unit
+
+
+def test_factoring_and_crt_build_no_fraction_but_the_idempotents(monkeypatch):
+    polys = [PolyQ.make(cs) for cs in ([0, -1, 1], [1, -2, 1], [-2, 0, 1], [2, -1, -2, 1],
+                                       [F(1, 2), 0, 0, 0, 1], [-1, 1, 0, 0, -1, 1])]
+    alg = poly_quotient_algebra(PolyQ.make([-1, 1]) ** 2 * PolyQ.make([-2, 0, 0, 1]))
+    x = tuple(1 if j == 1 else 0 for j in range(alg.dim))
+    factors = factor_rational_poly(alg.minimal_polynomial(x))
+    made = [0]
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    for p in polys:
+        factor_rational_poly(p)
+    factored = made[0]
+    idems = wedderburn._crt_idempotents(alg, x, factors)
+    monkeypatch.undo()
+    assert factored == 0
+    assert made[0] <= sum(1 for e in idems for c in e if c)
+    assert len(idems) == 2
 
 
 def test_group_algebra_c2_idempotents():
