@@ -35,6 +35,7 @@ from .linalg import (
     clear_denominators,
     echelon_closure,
     echelon_insert,
+    hnf,
     inverse,
     kernel_rows,
     lattice_intersect_subspace,
@@ -155,12 +156,6 @@ class StructureAlgebra:
         return tuple(
             sum(c for m, prod in enumerate(row) for p, c in prod if p == m) for row in self.products
         )
-
-    def trace(self, a: Sequence) -> Fraction:
-        """Trace of the left regular representation of a."""
-        terms, a_den = self._int_terms(a)
-        traces = self.int_traces
-        return Fraction(sum(x * traces[i] for i, x in terms), self.den * a_den)
 
     def trace_form(self) -> tuple[list[list[int]], int]:
         """Gram matrix of the trace form, (rows, den): trace(b_i b_j) is rows[i][j] / den."""
@@ -524,19 +519,13 @@ def build_order(
     unit_coords = lattice.coords_of(ambient.unit)
     if unit_coords is None:
         raise NoUnit("order lattice does not contain the unit")
-    basis_vecs = [tuple(Fraction(x) for x in row) for row in lattice.basis]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = ambient.mul(basis_vecs[i], basis_vecs[j])
-            coords = lattice.coords_of(p)
-            if coords is None:
-                raise ParseError(
-                    f"order lattice not closed under multiplication at pair ({i},{j})"
-                )
-            row.append(coords)
-        table.append(row)
+    terms = [[(j, x) for j, x in enumerate(row) if x] for row in lattice.basis]
+    coords = lattice.coords_batch(
+        (ambient.mul_terms(a, b) for a in terms for b in terms), ambient.den)
+    if None in coords:
+        i, j = divmod(coords.index(None), n)
+        raise ParseError(f"order lattice not closed under multiplication at pair ({i},{j})")
+    table = [coords[i * n:(i + 1) * n] for i in range(n)]
     standard = lattice.basis == Lattice.standard(n).basis
     coord_alg = StructureAlgebra.from_ints(
         name or ambient.name,
@@ -587,26 +576,33 @@ class LatticeIdeal:
 def build_ideal(parent: OrderRing, rows: Iterable[Sequence[int]]) -> LatticeIdeal:
     """The lattice spanned by rows, checked closed under both multiplications in integers.
 
-    A product e_i g is an integer row over den; it lies in the lattice when
-    den divides it and the quotient does.
+    The products e_i g and g e_i, per basis row g and then per index i, are
+    integer rows over den; they go through one batch of lattice coordinates,
+    and the first outside the lattice names the side that fails.
     """
     n = parent.rank
     lat = Lattice.from_rows(n, rows)
     alg = parent.coord_algebra
-    den = alg.den
-
-    def inside(prod: list[int]) -> bool:
-        return not any(x % den for x in prod) and lat.contains_vec([x // den for x in prod])
-
+    products = []
     for g in lat.basis:
         g_terms = [(j, x) for j, x in enumerate(g) if x]
         for i in range(n):
-            if not inside(alg.mul_terms(((i, 1),), g_terms)):
-                raise ParseError("ideal rows not closed under left multiplication")
-            if not inside(alg.mul_terms(g_terms, ((i, 1),))):
-                raise ParseError("ideal rows not closed under right multiplication")
-    sat = _saturate_in_order(lat)
-    return LatticeIdeal(parent, lat, saturated=(sat.basis == lat.basis))
+            products.append(alg.mul_terms(((i, 1),), g_terms))
+            products.append(alg.mul_terms(g_terms, ((i, 1),)))
+    coords = lat.coords_batch(products, alg.den)
+    if None in coords:
+        side = "right" if coords.index(None) % 2 else "left"
+        raise ParseError(f"ideal rows not closed under {side} multiplication")
+    return LatticeIdeal(parent, lat, saturated=_is_saturated(lat))
+
+
+def _is_saturated(lat: Lattice) -> bool:
+    """Whether Z^n / lat is torsion-free.
+
+    It is iff the r x r minors of the basis H have gcd 1, iff the columns
+    of H span Z^r, iff every pivot of the HNF of H transposed is 1.
+    """
+    return all(next(x for x in row if x) == 1 for row in hnf(zip(*lat.basis)))
 
 
 def _saturate_in_order(lat: Lattice) -> Lattice:

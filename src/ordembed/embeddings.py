@@ -330,30 +330,35 @@ def primes_of_decomposition(
     same saturation, zero-intersection and irredundance checks run.
     """
     n = order.rank
+    blocks = [comp.block_rows.ints for comp in dec.components]
     primes = []
-    for i in range(len(dec.components)):
-        others = Subspace.zero(n)
-        for j, comp in enumerate(dec.components):
-            if j != i:
-                others = others.add(comp.subspace())
+    for i in range(len(blocks)):
+        others = Subspace.from_rows(n, [r for j, rows in enumerate(blocks) if j != i for r in rows])
         lat = lattice_intersect_subspace(Lattice.standard(n), others)
         ideal = build_ideal(order, lat.basis)
         if not ideal.saturated:
             raise CertificateFailure({"prime": i}, f"minimal prime {i} is not saturated")
         primes.append(ideal)
     spans = [p.span() for p in primes]
-    total = Subspace.full(n)
-    for s in spans:
-        total = total.intersect(s)
+    # prefix[i] is the meet of spans[: i + 1] and suffix[i] that of spans[i:],
+    # so the family without prime i meets in prefix[i - 1] and suffix[i + 1]
+    prefix = spans[:1]
+    for s in spans[1:]:
+        prefix.append(prefix[-1].intersect(s))
+    total = prefix[-1] if spans else Subspace.full(n)
     if total.dim:
         raise CertificateFailure({"intersection_dim": total.dim},
                                  "minimal primes do not intersect to zero")
-    if len(primes) > 1:
-        for i in range(len(primes)):
-            rest = Subspace.full(n)
-            for j, s in enumerate(spans):
-                if j != i:
-                    rest = rest.intersect(s)
+    k = len(spans)
+    if k > 1:
+        suffix = {k - 1: spans[k - 1]}
+        for i in range(k - 2, 0, -1):
+            suffix[i] = spans[i].intersect(suffix[i + 1])
+        for i in range(k):
+            if 0 < i < k - 1:
+                rest = prefix[i - 1].intersect(suffix[i + 1])
+            else:
+                rest = suffix[1] if i == 0 else prefix[k - 2]
             if rest.dim == 0:
                 raise CertificateFailure({"prime": i},
                                          f"minimal prime {i} is redundant in the family")

@@ -33,10 +33,11 @@ these two, and `kernel_rows` is the null space of integer rows in integers.
 `Subspace.from_rows` takes `int` rows as they are, and the subspace queries
 answer in integers: against an RREF basis a member's coordinates are its
 pivot entries. Spans read off an operator go through `Subspace.image`.
-`Lattice.coords_of` back-substitutes in integers against the HNF rows; a
-vector with a non-integral entry is outside the lattice at once, and
-`lattice_intersect_subspace` takes its normals from the subspace's integer
-rows and intersects in integers.
+`Lattice.coords_batch` back-substitutes a batch of integer rows over one
+denominator along the cached HNF pivots; a row the denominator does not
+divide is outside the lattice at once. `coords_of`, `contains_vec` and
+`contains` read through it, and `lattice_intersect_subspace` takes its
+normals from the subspace's integer rows and intersects in integers.
 """
 
 from __future__ import annotations
@@ -630,6 +631,19 @@ def int_kernel(mat: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     return hnf(out)
 
 
+def _back_substitute(steps: Sequence[tuple[IntVec, int]], residual: Sequence[int]) -> IntVec | None:
+    """The integers c with residual == sum c_i row_i, over the (row, pivot) steps of an HNF; or None."""
+    coeffs = []
+    for row, p in steps:
+        c, r = divmod(residual[p], row[p])
+        if r:
+            return None
+        coeffs.append(c)
+        if c:
+            residual = [a - c * b for a, b in zip(residual, row)]
+    return None if any(residual) else tuple(coeffs)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A full or partial rank sublattice of Z^ambient in canonical HNF."""
@@ -668,29 +682,35 @@ class Lattice:
     def span(self) -> Subspace:
         return Subspace.from_rows(self.ambient, self.basis)
 
-    def coords_of(self, v: Sequence) -> IntVec | None:
-        """Integer coefficients against the HNF basis, or None if outside.
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each HNF row."""
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
-        Back-substitutes in integers: the lattice lies in Z^ambient, so a
-        vector with a non-integral entry is outside at once.
+    def coords_batch(self, rows: Iterable[Sequence[int]], den: int = 1) -> list[IntVec | None]:
+        """For each integer row, the coefficients of row / den against the HNF basis, or None.
+
+        Back-substitutes in integers along the cached pivots: the lattice
+        lies in Z^ambient, so a row that den does not divide is outside at
+        once.
         """
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector/ambient mismatch")
-        residual, den = _int_vec(v)
-        if den != 1:
-            return None
-        coeffs = []
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
-            c, r = divmod(residual[p], row[p])
-            if r:
-                return None
-            coeffs.append(c)
-            if c:
-                residual = [a - c * b for a, b in zip(residual, row)]
-        if any(residual):
-            return None
-        return tuple(coeffs)
+        steps = tuple(zip(self.basis, self.pivots))
+        out: list[IntVec | None] = []
+        for row in rows:
+            if len(row) != self.ambient:
+                raise DimensionMismatch("vector/ambient mismatch")
+            if den != 1:
+                if any(x % den for x in row):
+                    out.append(None)
+                    continue
+                row = [x // den for x in row]
+            out.append(_back_substitute(steps, row))
+        return out
+
+    def coords_of(self, v: Sequence) -> IntVec | None:
+        """Integer coefficients against the HNF basis, or None if outside."""
+        ints, den = _int_vec(v)
+        return self.coords_batch((ints,), den)[0]
 
     def contains_vec(self, v: Sequence) -> bool:
         return self.coords_of(v) is not None
@@ -698,7 +718,7 @@ class Lattice:
     def contains(self, other: "Lattice") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient mismatch")
-        return all(self.contains_vec(r) for r in other.basis)
+        return None not in self.coords_batch(other.basis)
 
     def add(self, other: "Lattice") -> "Lattice":
         if other.ambient != self.ambient:

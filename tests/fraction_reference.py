@@ -8,7 +8,8 @@ decomposition, and the CRT idempotents through the extended gcd, evaluated
 with `StructureAlgebra.mul` on `Fraction` rows. Polynomials go in and come
 out as `PolyQ`. Matrices and subspaces meet `Fraction` rows here too: the
 row-major vec of a matrix and back, and the span of products of two
-subspaces.
+subspaces; lattice coordinates by `Fraction` back-substitution; and an
+algebra element's trace, a `Fraction`.
 """
 
 from fractions import Fraction
@@ -32,6 +33,25 @@ def mat_unvec(v, nrows: int, ncols: int) -> MatQ:
 def subspace_product(a, u: Subspace, v: Subspace) -> Subspace:
     """Linear span of {x*y : x in u, y in v}."""
     return Subspace.from_rows(a.dim, [a.mul(x, y) for x in u.basis.rows for y in v.basis.rows])
+
+
+def fraction_coords(lat: Lattice, v):
+    """Lattice coordinates by Fraction back-substitution against the HNF rows, or None."""
+    residual = [Fraction(x) for x in v]
+    coeffs = []
+    for row in lat.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        c = residual[p] / row[p]
+        if c.denominator != 1:
+            return None
+        coeffs.append(c.numerator)
+        residual = [a - c * b for a, b in zip(residual, row)]
+    return tuple(coeffs) if not any(residual) else None
+
+
+def trace(alg, a) -> Fraction:
+    """Trace of the left regular representation of a, read off the integer traces of the basis."""
+    return sum((Fraction(x) * t for x, t in zip(a, alg.int_traces)), Fraction(0)) / alg.den
 
 
 def two_sided_ideal_generated(parent, gens) -> LatticeIdeal:

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ordembed.algebra import (
     StructureAlgebra,
     _check_associativity,
+    _is_saturated,
     algebra_to_doc,
     build_algebra,
     build_ideal,
@@ -38,7 +39,7 @@ from ordembed.errors import (
     ParseError,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import Lattice, MatQ, Subspace, unit_vec
+from ordembed.linalg import Lattice, MatQ, Subspace, lattice_intersect_subspace, unit_vec
 from ordembed.samples import (
     change_basis,
     cyclic_group_algebra,
@@ -50,7 +51,7 @@ from ordembed.samples import (
     upper_triangular_algebra,
 )
 
-from fraction_reference import two_sided_ideal_generated
+from fraction_reference import fraction_coords, trace, two_sided_ideal_generated
 from strategies import nonzero_scales, wide_entries
 
 F = Fraction
@@ -78,7 +79,7 @@ def test_matrix_algebra_units_multiply():
     assert m2.mul(e01, e10) == m2.basis_vec(0)
     assert m2.mul(e10, e01) == m2.basis_vec(3)
     assert centre(m2).dim < m2.dim
-    assert m2.trace(m2.unit) == 4
+    assert trace(m2, m2.unit) == 4
 
 
 def test_minimal_polynomial_of_matrix_idempotent():
@@ -250,12 +251,26 @@ def test_quotient_refuses_non_saturated_ideal():
     assert saturate_ideal(doubled).saturated
 
 
+@given(st.integers(1, 5), st.data())
+@settings(deadline=None, max_examples=150)
+def test_transposed_hnf_saturation_matches_the_definition(n, data):
+    # saturated means the lattice is all of Z^n that lies in its span
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=n + 1))
+    for row in rows:
+        scale = data.draw(st.sampled_from((1, 1, 2, 3, -4)))
+        row[:] = [scale * x for x in row]
+    lat = Lattice.from_rows(n, rows)
+    definition = lattice_intersect_subspace(Lattice.standard(n), lat.span()).basis == lat.basis
+    assert _is_saturated(lat) == definition
+
+
 def fraction_closed(order, lat):
     """The closure test by its definition: every e_i g and g e_i, as `Fraction` rows, in lat."""
     alg = order.coord_algebra
     return all(
-        lat.contains_vec(alg.mul(alg.basis_vec(i), g)) and lat.contains_vec(alg.mul(g, alg.basis_vec(i)))
+        fraction_coords(lat, p) is not None
         for g in lat.basis for i in range(order.rank)
+        for p in (alg.mul(alg.basis_vec(i), g), alg.mul(g, alg.basis_vec(i)))
     )
 
 
@@ -453,13 +468,13 @@ def test_integer_products_match_the_fraction_definition(case):
     def trace_by_definition(x):
         return sum((F(x[i]) * alg.table[i][m][m] for i in range(n) for m in range(n)), F(0))
 
-    assert alg.trace(a) == trace_by_definition(a)
+    assert trace(alg, a) == trace_by_definition(a)
     gram, gram_den = alg.trace_form()
     assert [[F(x, gram_den) for x in r] for r in gram] == [
         [trace_by_definition(alg.table[i][j]) for j in range(n)] for i in range(n)]
     assert all(type(x) is int for r in gram for x in r)
     entries = list(prod) + [x for op in (left, right) for r in op.rows for x in r]
-    assert all(type(x) is F for x in entries + [alg.trace(a)])
+    assert all(type(x) is F for x in entries + [trace(alg, a)])
 
 
 BLOCKS = (

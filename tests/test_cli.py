@@ -39,9 +39,9 @@ from ordembed.wedderburn import SimplicityResult
 
 CORPUS = CORPUS_DIR
 # `Fraction`s constructed by one `decompose --order d4`, as measured.
-FRACTIONS_PER_DECOMPOSE_D4 = 847
+FRACTIONS_PER_DECOMPOSE_D4 = 703
 # `Fraction`s constructed by one `analyze --order d4`, as measured.
-FRACTIONS_PER_ANALYZE_D4 = 1523
+FRACTIONS_PER_ANALYZE_D4 = 1326
 
 
 def run_json(command, argv):
@@ -448,6 +448,25 @@ def test_unsaturated_minimal_prime_fails_its_certificate(monkeypatch):
     error = json.loads(text)["report"]["error"]
     assert error["type"] == "CertificateFailure"
     assert "not saturated" in error["message"]
+
+
+def test_redundant_minimal_prime_fails_its_certificate(monkeypatch):
+    # An extra component with no rows joins the decomposition of d4 at index
+    # 2. Its prime is the whole order: the family still meets in zero, but
+    # that prime can be dropped.
+    original = embeddings.decompose
+
+    def padded(alg, **kwargs):
+        dec = original(alg, **kwargs)
+        extra = replace(dec.components[0], block_rows=MatQ.zeros(1, alg.dim))
+        return replace(dec, components=dec.components[:2] + (extra,) + dec.components[2:])
+
+    monkeypatch.setattr(embeddings, "decompose", padded)
+    text, code = run_report("min-primes", order_arg("d4"))
+    assert code == 1
+    error = json.loads(text)["report"]["error"]
+    assert error["type"] == "CertificateFailure"
+    assert error["message"] == "minimal prime 2 is redundant in the family"
 
 
 def certificate_error(text, code):

@@ -35,7 +35,7 @@ from ordembed.linalg import (
 )
 from ordembed.samples import quaternion_algebra
 from ordembed.wedderburn import restrict_op
-from fraction_reference import mat_unvec, mat_vec_of
+from fraction_reference import fraction_coords, mat_unvec, mat_vec_of
 from strategies import nonzero_scales, wide_entries
 
 small_entries = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -560,20 +560,6 @@ def test_lattice_membership_and_coords():
     assert [sum(c[i] * lat.basis[i][j] for i in range(2)) for j in range(2)] == [4, 8]
 
 
-def fraction_coords(lat, v):
-    """Lattice coordinates by Fraction back-substitution against the HNF rows."""
-    residual = [F(x) for x in v]
-    coeffs = []
-    for row in lat.basis:
-        p = next(j for j, x in enumerate(row) if x)
-        c = residual[p] / row[p]
-        if c.denominator != 1:
-            return None
-        coeffs.append(c.numerator)
-        residual = [a - c * b for a, b in zip(residual, row)]
-    return tuple(coeffs) if not any(residual) else None
-
-
 @st.composite
 def lattice_vectors(draw):
     """A lattice and a vector inside it, shifted off it, or made non-integral."""
@@ -604,6 +590,53 @@ def test_lattice_coords_match_fraction_back_substitution(case):
                 for j in range(lat.ambient)] == list(v)
     if kind == "non-integral":
         assert ours is None
+
+
+@st.composite
+def lattice_batches(draw):
+    """A random, zero or full-rank unsaturated lattice; rows inside, shifted or non-integral over den > 1."""
+    shape = draw(st.sampled_from(("random", "zero", "full")))
+    if shape == "random":
+        mat = draw(int_matrices())
+        lat = Lattice.from_rows(len(mat[0]), mat)
+    else:
+        n = draw(st.integers(1, 4))
+        if shape == "zero":
+            lat = Lattice.zero(n)
+        else:
+            diag = [draw(st.integers(2, 4))] + [draw(st.integers(1, 4)) for _ in range(n - 1)]
+            lat = Lattice.from_rows(n, [[diag[i] if j == i else draw(st.integers(-5, 5)) if j > i else 0
+                                         for j in range(n)] for i in range(n)])
+    den = draw(st.integers(2, 6))
+    rows, kinds = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("inside", "shifted", "non-integral")))
+        coeffs = [draw(st.integers(-5, 5)) for _ in lat.basis]
+        v = [den * sum(c * row[j] for c, row in zip(coeffs, lat.basis)) for j in range(lat.ambient)]
+        j = draw(st.integers(0, lat.ambient - 1))
+        if kind == "shifted":
+            v[j] += den * draw(st.integers(1, 3))
+        elif kind == "non-integral":
+            v[j] += draw(st.integers(1, den - 1))
+        rows.append(v)
+        kinds.append(kind)
+    return lat, rows, den, kinds
+
+
+@given(lattice_batches())
+@settings(deadline=None, max_examples=200)
+def test_lattice_batch_coords_match_fraction_back_substitution(case):
+    lat, rows, den, kinds = case
+    got = lat.coords_batch(rows, den)
+    assert len(got) == len(rows)
+    for coords, row, kind in zip(got, rows, kinds):
+        assert coords == fraction_coords(lat, [F(x, den) for x in row])
+        assert coords == lat.coords_of([F(x, den) for x in row])
+        if kind == "inside":
+            assert coords is not None and all(type(c) is int for c in coords)
+        if kind == "non-integral":
+            assert coords is None
+    assert lat.contains(lat) and lat.contains(Lattice.zero(lat.ambient))
 
 
 def test_lattice_intersection_frozen():
