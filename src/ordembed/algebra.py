@@ -573,15 +573,14 @@ class LatticeIdeal:
         return self.lattice.span()
 
 
-def build_ideal(parent: OrderRing, rows: Iterable[Sequence[int]]) -> LatticeIdeal:
-    """The lattice spanned by rows, checked closed under both multiplications in integers.
+def build_ideal(parent: OrderRing, lat: Lattice) -> LatticeIdeal:
+    """The ideal on lat, checked closed under both multiplications in integers.
 
     The products e_i g and g e_i, per basis row g and then per index i, are
     integer rows over den; they go through one batch of lattice coordinates,
     and the first outside the lattice names the side that fails.
     """
     n = parent.rank
-    lat = Lattice.from_rows(n, rows)
     alg = parent.coord_algebra
     products = []
     for g in lat.basis:

@@ -316,7 +316,8 @@ def _contract_primes(
             if c is None:
                 raise CertificateFailure(message="a prime meets the centre outside its span")
             coords.append([int(x) for x in c])
-        contracted = build_ideal(centre_data.order, coords)
+        zorder = centre_data.order
+        contracted = build_ideal(zorder, Lattice.from_rows(zorder.rank, coords))
         if contracted.lattice.basis not in targets:
             raise CertificateFailure(
                 message="a minimal prime contracted to a non-minimal central ideal"

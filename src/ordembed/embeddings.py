@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import (
@@ -78,6 +79,7 @@ from .linalg import (
     zero_vec,
 )
 from .wedderburn import (
+    OperatorAlgebra,
     SemisimpleDecomposition,
     SimpleComponent,
     SimplicityResult,
@@ -118,6 +120,18 @@ class Embedding:
     @property
     def codomain_dim(self) -> int:
         return self.codomain.parent.dim
+
+    @cached_property
+    def blocks(self) -> tuple[MatQ, ...]:
+        """The map's block coordinates in each codomain component, made once per record."""
+        return tuple(_project_rows(self.codomain, self.map, (i,))
+                     for i in range(len(self.codomain)))
+
+    @cached_property
+    def left_ops(self) -> tuple[tuple[MatQ, ...], ...]:
+        """Per component, left multiplication by the image of each lattice basis vector."""
+        return tuple(tuple(c.algebra.left_mult_op(row) for row in block.rows)
+                     for c, block in zip(self.codomain.components, self.blocks))
 
 
 def _non_multiplicative_pair(
@@ -283,8 +297,7 @@ def embedding_to_doc(
         doc["codomain"] = list(codomain_refs)
     else:
         doc["codomain"] = [algebra_to_doc(c.algebra) for c in emb.codomain.components]
-    coords = _project_rows(emb.codomain, emb.map, range(len(emb.codomain)))
-    doc["map"] = [[str(x) for x in row] for row in coords.rows]
+    doc["map"] = [[str(x) for x in row] for row in mat_hstack(*emb.blocks).rows]
     return doc
 
 
@@ -335,7 +348,7 @@ def primes_of_decomposition(
     for i in range(len(blocks)):
         others = Subspace.from_rows(n, [r for j, rows in enumerate(blocks) if j != i for r in rows])
         lat = lattice_intersect_subspace(Lattice.standard(n), others)
-        ideal = build_ideal(order, lat.basis)
+        ideal = build_ideal(order, lat)
         if not ideal.saturated:
             raise CertificateFailure({"prime": i}, f"minimal prime {i} is not saturated")
         primes.append(ideal)
@@ -495,9 +508,9 @@ def project_embedding(f: Embedding, keep: Sequence[int]) -> tuple[Embedding, Mor
 
 
 def _droppable(f: Embedding, keep: Sequence[int], idx: int) -> bool:
-    """Whether f stays injective on the components of `keep` other than idx."""
+    """Whether f stays injective on the components of `keep` other than idx, read off f.blocks."""
     trial = [j for j in keep if j != idx]
-    return bool(trial) and rank(_project_rows(f.codomain, f.map, trial)) == f.domain.rank
+    return bool(trial) and rank(mat_hstack(*(f.blocks[j] for j in trial))) == f.domain.rank
 
 
 def reduce_redundant(f: Embedding) -> ReduceResult:
@@ -506,7 +519,7 @@ def reduce_redundant(f: Embedding) -> ReduceResult:
     Components are tried from the last index down, so the kept family is the
     lexicographically earliest one the greedy pass can reach. The result is
     certified irredundant: removing any remaining component is re-checked to
-    kill injectivity.
+    kill injectivity, on projections made anew from the map, not f.blocks.
     """
     count = len(f.codomain.components)
     keep = list(range(count))
@@ -516,7 +529,8 @@ def reduce_redundant(f: Embedding) -> ReduceResult:
             break
         keep.remove(idx)
     for idx in keep:
-        if _droppable(f, keep, idx):
+        trial = [j for j in keep if j != idx]
+        if trial and rank(_project_rows(f.codomain, f.map, trial)) == f.domain.rank:
             raise CertificateFailure(
                 {"component": idx}, "a kept component is redundant after reduction"
             )
@@ -562,16 +576,17 @@ class BimoduleLadder:
 
 def _annihilator_ideal(order: OrderRing, left_mats: Sequence[MatQ]) -> LatticeIdeal:
     # integer x with sum_t x[t] * left_mats[t] = 0, the matrices over one denominator
-    ideal = build_ideal(order, int_kernel(vec_rows(left_mats).ints))
+    ideal = build_ideal(order, Lattice(order.rank, int_kernel(vec_rows(left_mats).ints)))
     if not ideal.saturated:
         raise CertificateFailure(message="annihilator ideal is not saturated")
     return ideal
 
 
-def _left_ops_on_component(f: Embedding, index: int) -> tuple[MatQ, ...]:
-    algebra = f.codomain.components[index].algebra
-    coords = _project_rows(f.codomain, f.map, (index,))
-    return tuple(algebra.left_mult_op(row) for row in coords.rows)
+def _bimodule_action(component: SimpleComponent, left_action: Sequence[MatQ]) -> OperatorAlgebra:
+    """Operators on a component: the left action, then right multiplication by each basis vector."""
+    alg = component.algebra
+    right_ops = (alg.right_mult_op(alg.basis_vec(k)) for k in range(component.dim))
+    return operator_algebra((*left_action, *right_ops), module_dim=component.dim)
 
 
 def bimodule_ladder(
@@ -597,11 +612,8 @@ def bimodule_ladder(
             raise DimensionMismatch("left action matrices must act on the component")
     if len(left_action) != order.rank:
         raise DimensionMismatch("one left action matrix per lattice basis vector")
-    right_ops = tuple(
-        component.algebra.right_mult_op(component.algebra.basis_vec(k))
-        for k in range(d)
-    )
-    e = operator_algebra(tuple(left_action) + right_ops, module_dim=d)
+    e = _bimodule_action(component, left_action)
+    right_ops = e.generators[len(left_action):]
     summands: list[tuple[Subspace, SimplicityResult]] = []
     for w in isotypic_split(e, seed=seed):
         restricted = operator_algebra(tuple(restrict_op(g, w) for g in e.generators), module_dim=w.dim)
@@ -738,9 +750,7 @@ def minimize_step(
     factors: dict[tuple[int, int], LadderFactor] = {}
     order_keys: list[tuple[int, int]] = []
     for i, comp in enumerate(f.codomain.components):
-        ladder = bimodule_ladder(
-            domain, comp, _left_ops_on_component(f, i), budget, seed=seed
-        )
+        ladder = bimodule_ladder(domain, comp, f.left_ops[i], budget, seed=seed)
         ladders.append(ladder)
         for j, fac in enumerate(ladder.factors):
             factors[(i, j)] = fac
@@ -868,12 +878,8 @@ def minimize_step(
     # the natural property of phi at the level of its own codomain: both
     # annihilators of phi(p) are exactly the matched block
     for pos, k in enumerate(selected_keys):
-        prime = primes[prime_of[k]]
-        img = Subspace.from_rows(b_dec.parent.dim, int_matmul(
-            prime.lattice.basis, phi_map.ints, b_dec.parent.dim))
+        _, l_ann, r_ann = _prime_image(phi, primes[prime_of[k]])
         block = b_dec.components[pos].subspace()
-        l_ann = left_annihilator(b_dec.parent, img)
-        r_ann = right_annihilator(b_dec.parent, img)
         if not (l_ann == block and r_ann == block):
             raise CertificateFailure({"factor": pos},
                                      "collection embedding is not natural")
@@ -995,6 +1001,13 @@ def _unique_perfect_matching(candidates: Sequence[Sequence[int]]) -> tuple[int, 
     return found[0] if len(found) == 1 else None
 
 
+def _prime_image(f: Embedding, prime: LatticeIdeal) -> tuple[Subspace, Subspace, Subspace]:
+    """The span of f(prime) in f's codomain, with its left and right annihilators."""
+    parent = f.codomain.parent
+    img = Subspace.from_rows(parent.dim, int_matmul(prime.lattice.basis, f.map.ints, parent.dim))
+    return img, left_annihilator(parent, img), right_annihilator(parent, img)
+
+
 def _preimage_lattice(f: Embedding, target: Subspace) -> Lattice:
     n = f.domain.rank
     # integer x with sum_t x[t] * f(b_t) in target
@@ -1026,18 +1039,11 @@ def classify(
         raise UnmatchedComponents(
             f"{len(comps)} components against {len(primes)} minimal primes"
         )
-    ann_pairs = []
-    candidates = []
-    for p in primes:
-        img = Subspace.from_rows(parent.dim, int_matmul(
-            p.lattice.basis, f.map.ints, parent.dim))
-        l_ann = left_annihilator(parent, img)
-        r_ann = right_annihilator(parent, img)
-        ann_pairs.append((img, l_ann, r_ann))
-        candidates.append([
-            i for i, c in enumerate(comps)
-            if l_ann.contains(c.subspace()) and r_ann.contains(c.subspace())
-        ])
+    ann_pairs = [_prime_image(f, p) for p in primes]
+    candidates = [[
+        i for i, c in enumerate(comps)
+        if l_ann.contains(c.subspace()) and r_ann.contains(c.subspace())
+    ] for _, l_ann, r_ann in ann_pairs]
     match = _unique_perfect_matching(candidates)
     if match is None:
         raise UnmatchedComponents(
@@ -1054,14 +1060,8 @@ def classify(
             if img.dim else Subspace.zero(parent.dim)
         preimage = _preimage_lattice(f, two_sided)
         contraction_ok = preimage.basis == p.lattice.basis
-        left_ops = _left_ops_on_component(f, ci)
-        right_ops = tuple(
-            comp.algebra.right_mult_op(comp.algebra.basis_vec(k))
-            for k in range(comp.dim)
-        )
-        action = operator_algebra(left_ops + right_ops, module_dim=comp.dim)
         result = certify_simple_module(
-            action, Subspace.full(comp.dim), budget, seed=seed
+            _bimodule_action(comp, f.left_ops[ci]), Subspace.full(comp.dim), budget, seed=seed
         )
         simple_here: bool | None
         witness = None
@@ -1117,11 +1117,11 @@ class MinimizeChain:
 def minimize_to_elementary(f: Embedding, budget: int, *, seed: int = 0) -> MinimizeChain:
     """Alternate redundancy reduction and minimization until elementary.
 
-    Each minimization step strictly shrinks the codomain dimension (this is
-    asserted), so the loop terminates. A classification that cannot certify
-    simplicity within budget raises UnresolvedSimplicity carrying the chain
-    so far. The domain never changes along the chain, so its minimal primes
-    are computed once.
+    Each minimization step strictly shrinks the codomain dimension (a step
+    that does not raises CertificateFailure), so the loop terminates. A
+    classification that cannot certify simplicity within budget raises
+    UnresolvedSimplicity carrying the chain so far. The domain never changes
+    along the chain, so its minimal primes are computed once.
     """
     primes = minimal_primes(f.domain, seed=seed)
     steps: list[tuple[str, object]] = []

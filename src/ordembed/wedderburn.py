@@ -9,11 +9,12 @@ cases certified, anything beyond reported as Unknown rather than guessed).
 
 While a command runs (`fact_store`, opened by `cli._execute`), five results
 are kept once per command and looked up on integer data, never on names:
-decompositions (on the table, the unit and the seed), split statuses (on the
-block's table and unit, its centre dimension and reduced degree, the budget
-and the seed), commutants (on the generators, the budget and the seed),
-structure constants of a matrix basis (on the matrices) and operator
-algebras (on the generators). A stored result is re-labelled for each
+decompositions (on the table, the unit and the seed; the radical check is
+part of what is kept, so a stored decomposition computes no radical), split
+statuses (on the block's table and unit, its centre dimension and reduced
+degree, the budget and the seed), commutants (on the generators, the budget
+and the seed), structure constants of a matrix basis (on the matrices) and
+operator algebras (on the generators). A stored result is re-labelled for each
 caller: its algebra and block names are the caller's. Failures are not
 stored, and outside a command every call computes.
 """
@@ -247,19 +248,10 @@ def decompose(a: StructureAlgebra, *, seed: int = 0) -> SemisimpleDecomposition:
     """Split a semisimple algebra into simple blocks via its centre.
 
     Components come back in canonical order: by dimension, then by
-    lexicographic comparison of the central idempotents.
-    """
-    rad = radical(a)
-    if rad.dim:
-        raise NotSemisimple(rad)
-    return _decompose_semisimple(a, seed=seed)
-
-
-def _decompose_semisimple(a: StructureAlgebra, *, seed: int) -> SemisimpleDecomposition:
-    """The body of `decompose`, for callers that have found rad(a) = 0 themselves.
-
-    Kept per command on a's table and unit: a decomposition of an equal
-    table under another name gets a as its parent and its block names.
+    lexicographic comparison of the central idempotents. Kept per command
+    on a's table and unit, radical check included: a decomposition of an
+    equal table under another name gets a as its parent and its block
+    names. NotSemisimple is raised each time, never kept.
     """
     dec = _recall(("decompose", a.den, a.products, a.unit, seed), _split_blocks, a, seed)
     if dec.parent is a:
@@ -277,11 +269,14 @@ def _whole_block(a: StructureAlgebra) -> StructureAlgebra:
 
 
 def _split_blocks(a: StructureAlgebra, seed: int) -> SemisimpleDecomposition:
-    """Simple blocks of a semisimple a, split off through central idempotents.
+    """The body of `decompose`: rad(a) = 0 checked, then blocks split off by central idempotents.
 
     The whole algebra is the first block, in its own coordinates; later
     blocks carry their rows in a's coordinates.
     """
+    rad = radical(a)
+    if rad.dim:
+        raise NotSemisimple(rad)
     if a.dim == 0:
         return SemisimpleDecomposition(a, (), ())
 
@@ -787,17 +782,15 @@ def _simple_commutant(
 
 
 def isotypic_split(e: OperatorAlgebra, *, seed: int = 0) -> tuple[Subspace, ...]:
-    """Isotypic decomposition of the module under a semisimple action."""
+    """Isotypic decomposition of the module under a semisimple action.
+
+    A spanned algebra with a radical raises NotSemisimpleAction.
+    """
     alg, mats = spanned_algebra(e)
-    rad = radical(alg)
-    if rad.dim:
-        raise NotSemisimpleAction("the spanned operator algebra has nonzero radical")
-    return _isotypic_parts(alg, mats, e.module_dim, seed=seed)
-
-
-def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed: int) -> tuple[Subspace, ...]:
-    """Isotypic parts of Q^d under the algebra alg spanned by mats; rad(alg) = 0."""
-    dec = _decompose_semisimple(alg, seed=seed)
+    try:
+        dec = decompose(alg, seed=seed)
+    except NotSemisimple as exc:
+        raise NotSemisimpleAction("the spanned operator algebra has nonzero radical") from exc
     parts = []
     covered = 0
     for comp in dec.components:
@@ -806,8 +799,8 @@ def _isotypic_parts(alg: StructureAlgebra, mats: Sequence[MatQ], d: int, *, seed
             raise CertificateFailure(message="a nonzero idempotent matrix has zero image")
         parts.append(image)
         covered += image.dim
-    if covered != d:
-        raise CertificateFailure({"covered": covered, "module_dim": d},
+    if covered != e.module_dim:
+        raise CertificateFailure({"covered": covered, "module_dim": e.module_dim},
                                  "isotypic images do not fill the module")
     return tuple(parts)
 
@@ -901,12 +894,13 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
     else:
         restricted = [restrict_op(g, w) for g in e.generators]
         sub_action = operator_algebra(restricted, module_dim=w.dim)
-    alg, mats = spanned_algebra(sub_action)
-    rad = radical(alg)
-    if rad.dim:
+    try:
+        parts = isotypic_split(sub_action, seed=seed)
+    except NotSemisimpleAction:
         # rad * W is invariant, nonzero (the action on W is faithful by
         # construction) and proper (the radical is nilpotent)
-        witness = w.lift(combination_image(rad.rows, mats))
+        alg, mats = spanned_algebra(sub_action)
+        witness = w.lift(combination_image(radical(alg).rows, mats))
         if not 0 < witness.dim < w.dim:
             raise CertificateFailure({"witness_dim": witness.dim, "module_dim": w.dim},
                                      "radical witness is not a proper nonzero submodule")
@@ -915,7 +909,6 @@ def certify_simple_module(e: OperatorAlgebra, w: Subspace, budget: int, *, seed:
             witness=witness,
             note="restricted action is not semisimple",
         )
-    parts = _isotypic_parts(alg, mats, w.dim, seed=seed)
     if len(parts) > 1:
         return SimplicityResult("not_simple", witness=w.lift(parts[0]),
                                 note="multiple isotypic components")

@@ -242,7 +242,7 @@ def test_quotient_by_whole_order_is_zero_ring():
 
 def test_quotient_refuses_non_saturated_ideal():
     r = build_order(cyclic_group_algebra(2))
-    doubled = build_ideal(r, [(2, 0), (0, 2)])
+    doubled = build_ideal(r, Lattice.from_rows(2, [(2, 0), (0, 2)]))
     assert not doubled.saturated
     with pytest.raises(NonSaturatedIdeal) as exc:
         quotient_by_ideal(r, doubled)
@@ -290,20 +290,22 @@ def test_build_ideal_closure_matches_the_fraction_definition(name, count, data):
         rows = [[count if j == i else 0 for j in range(n)] for i in range(n)]
     lat = Lattice.from_rows(n, rows)
     if fraction_closed(order, lat):
-        assert build_ideal(order, rows).lattice == lat
+        assert build_ideal(order, lat).lattice == lat
     else:
         with pytest.raises(ParseError, match="not closed"):
-            build_ideal(order, rows)
+            build_ideal(order, lat)
 
 
 def test_build_ideal_rejects_rows_that_are_not_closed():
     # e00 of M2(Z) spans a lattice that e00 * e01 = e01 leaves
     order = load_order(json.loads((CORPUS_DIR / "m2z.json").read_text()))
     rows = [[1, 0, 0, 0]]
-    assert not fraction_closed(order, Lattice.from_rows(4, rows))
+    lat = Lattice.from_rows(4, rows)
+    assert not fraction_closed(order, lat)
     with pytest.raises(ParseError, match="not closed under right multiplication"):
-        build_ideal(order, rows)
-    assert build_ideal(order, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]).rank == 4
+        build_ideal(order, lat)
+    doubled = Lattice.from_rows(4, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    assert build_ideal(order, doubled).rank == 4
 
 
 def test_regularity_in_group_ring():

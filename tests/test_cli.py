@@ -274,6 +274,39 @@ def test_verify_gives_each_entry_a_fresh_store(monkeypatch):
     assert None not in stores
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("minimize", ["--embedding", str(CORPUS / "demo-crt.json")]),
+    ("analyze", order_arg("d4")),
+])
+def test_each_radical_is_computed_once_per_command(monkeypatch, command, argv):
+    # the radical check is part of the stored decomposition
+    radicals = count_calls(monkeypatch, wedderburn, "radical",
+                           lambda alg: (alg.den, alg.products, alg.unit))
+    _, code = run_report(command, argv)
+    assert code == 0
+    assert radicals and set(radicals.values()) == {1}
+
+
+def test_minimize_projects_each_embedding_onto_each_component_once(monkeypatch):
+    # `Embedding.blocks` is the one projection of a map; the irredundance
+    # re-check of `reduce_redundant` projects again on purpose, and
+    # `project_embedding` projects the codomain, not an embedding's map.
+    original = embeddings._project_rows
+    projected, held = Counter(), []
+
+    def counting(codomain, rows, keep):
+        if sys._getframe(1).f_code.co_name not in ("reduce_redundant", "project_embedding"):
+            held.append((codomain, rows))  # keeps each id unique
+            projected.update((id(codomain), id(rows), i) for i in keep)
+        return original(codomain, rows, keep)
+
+    monkeypatch.setattr(embeddings, "_project_rows", counting)
+    text, code = run_report("minimize", ["--embedding", str(CORPUS / "demo-crt.json")])
+    assert code == 0
+    assert "minimize" in [stage["kind"] for stage in json.loads(text)["report"]["stages"]]
+    assert projected and set(projected.values()) == {1}
+
+
 def test_decompose_when_every_small_prime_is_bad(tmp_path):
     # x^2 - N is not squarefree modulo any prime below 400
     n = math.prod(p for p in range(2, 400) if all(p % d for d in range(2, p)))

@@ -30,7 +30,7 @@ from ordembed.embeddings import (
     reduce_semiprimary,
     verify_morphism,
 )
-from ordembed.embeddings import _left_ops_on_component, _project_rows
+from ordembed.embeddings import _project_rows
 from ordembed.errors import (
     DimensionMismatch,
     DomainNotSemiprime,
@@ -44,7 +44,7 @@ from ordembed.errors import (
     UnmatchedComponents,
 )
 from ordembed.exact import PolyQ
-from ordembed.linalg import MatQ, RowSolver, Subspace, rank
+from ordembed.linalg import Lattice, MatQ, RowSolver, Subspace, rank
 from ordembed.samples import (
     cyclic_group_algebra,
     integer_matrix_order,
@@ -132,17 +132,17 @@ def test_minimal_primes_reject_nonsemiprime():
 
 def test_nonprime_ideals_are_rejected():
     order = crt_order()
-    whole = build_ideal(order, [[1, 0], [0, 1]])
+    whole = build_ideal(order, Lattice.from_rows(2, [[1, 0], [0, 1]]))
     assert not is_prime_lattice_ideal(order, whole)
-    doubled = build_ideal(order, [[2, 0], [0, 2]])
+    doubled = build_ideal(order, Lattice.from_rows(2, [[2, 0], [0, 2]]))
     assert not is_prime_lattice_ideal(order, doubled)
-    zero = build_ideal(order, [])
+    zero = build_ideal(order, Lattice.from_rows(2, []))
     assert not is_prime_lattice_ideal(order, zero)
 
 
 def test_zero_ideal_is_prime_for_matrix_order():
     order = integer_matrix_order(2)
-    zero = build_ideal(order, [])
+    zero = build_ideal(order, Lattice.from_rows(4, []))
     assert is_prime_lattice_ideal(order, zero)
 
 
@@ -363,7 +363,7 @@ def test_reduce_redundant_reaches_a_fixed_point(seed):
 def test_ladder_of_scalars_on_matrix_block():
     f = scalar_matrix_embedding()
     comp = f.codomain.components[0]
-    ladder = bimodule_ladder(f.domain, comp, _left_ops_on_component(f, 0), BUDGET)
+    ladder = bimodule_ladder(f.domain, comp, f.left_ops[0], BUDGET)
     assert [s.dim for s in ladder.chain] == [4, 2, 0]
     assert [fac.carrier.dim for fac in ladder.factors] == [2, 2]
     assert all(fac.annihilator.lattice.rank == 0 for fac in ladder.factors)
@@ -382,7 +382,7 @@ def test_ladder_takes_each_summands_simplicity_from_its_split(monkeypatch):
     sigma = canonical_embedding(order_facts(crt_order()))
     for emb in (f, sigma):
         for i, comp in enumerate(emb.codomain.components):
-            ladder = bimodule_ladder(emb.domain, comp, _left_ops_on_component(emb, i), BUDGET)
+            ladder = bimodule_ladder(emb.domain, comp, emb.left_ops[i], BUDGET)
             assert all(fac.simplicity.note == "commutant is a field" for fac in ladder.factors)
     assert called == []
 
@@ -391,7 +391,7 @@ def test_ladder_of_crt_component_reads_the_prime():
     sigma = canonical_embedding(order_facts(crt_order()))
     ladder = bimodule_ladder(
         sigma.domain, sigma.codomain.components[0],
-        _left_ops_on_component(sigma, 0), BUDGET,
+        sigma.left_ops[0], BUDGET,
     )
     assert len(ladder.factors) == 1
     assert ladder.factors[0].annihilator.lattice.basis == ((1, 1),)
@@ -414,7 +414,7 @@ def test_ladder_refuses_unsplit_multiplicity_within_budget():
         integers_order(), decompose(hidden), MatQ.from_rows([hidden.unit])
     )
     comp = f.codomain.components[0]
-    ops = _left_ops_on_component(f, 0)
+    ops = f.left_ops[0]
     with pytest.raises(UnresolvedSimplicity):
         bimodule_ladder(f.domain, comp, ops, 0)
     ladder = bimodule_ladder(f.domain, comp, ops, BUDGET)
